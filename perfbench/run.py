@@ -4,10 +4,12 @@
 
 Run from the root of a hypercalc checkout; the package is imported from
 ./src.  Each workload runs in fresh worker processes with one BLAS/OpenMP
-thread.  The last line of standard output is one JSON object
-``{"correct", "attempted", "failed", "metrics"}``: with ``--trace 0`` the
-end-to-end metrics, with ``--trace 1`` the per-layer metrics of
-BENCHMARK.json.  The lines before it name every metric with its unit.
+thread: two that each time set-up, a cold pass and half of the steady-state
+passes, each followed by one that times set-up only.  The last line of
+standard output is one JSON object ``{"correct", "attempted", "failed",
+"metrics"}``: with ``--trace 0`` the end-to-end metrics, with ``--trace 1``
+the per-layer metrics of BENCHMARK.json.  The lines before it name every
+metric with its unit.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from tracer import LAYERS  # noqa: E402
 
 SPEC_PATH = os.path.join(HERE, "..", "BENCHMARK.json")
 
-COLD_SAMPLE_S = 10.0  # repeat cold passes in fresh processes to cover this
-MAX_COLD_SAMPLES = 4
+MEASURING = 2   # fresh processes with set-up, a cold pass and steady passes
+MIN_PASSES = 3  # steady passes in a run: enough slow ops for the tail percentile
 TAIL_BEYOND = 10     # samples the reported tail percentile must leave above it
 TAIL_LADDER = (50, 75, 90, 95, 99, 99.9)
 DEADLINE_S = 170  # a run ends within this, whatever its workers do
@@ -77,8 +79,9 @@ def tail_percentile(latencies):
 
 
 def throughput(passes):
-    """Median over whole passes of ops per second of program time."""
-    return statistics.median(len(p["latencies"]) / sum(p["latencies"]) for p in passes)
+    """Ops per second of program time over all of ``passes``."""
+    return (sum(len(p["latencies"]) for p in passes)
+            / sum(sum(p["latencies"]) for p in passes))
 
 
 def count_failures(results):
@@ -89,30 +92,32 @@ def count_failures(results):
     return attempted, failures
 
 
-def end_to_end(result, results):
-    """Metrics of the measuring process ``result``; set-up and cold times
-    are medians over all fresh processes ``results``."""
+def end_to_end(results):
+    """Metrics of one run's fresh processes ``results``: set-up over all of
+    them, the rest over the measuring ones, steady passes pooled."""
+    measuring = [r for r in results if "cold_s" in r]
     setup_samples = [r["setup_s"] for r in results]
-    cold_samples = [r["cold_s"] for r in results if "cold_s" in r]
-    lat = [x for p in result["passes"] for x in p["latencies"]]
+    cold_samples = [r["cold_s"] for r in measuring]
+    passes = [p for r in measuring for p in r["passes"]]
+    lat = [x for p in passes for x in p["latencies"]]
     tail, pct = tail_percentile(lat)
     metrics = {
         "setup_s": statistics.median(setup_samples),
         "cold_s": statistics.median(cold_samples),
-        "ops_per_s": throughput(result["passes"]),
+        "ops_per_s": throughput(passes),
         "op_p50_ms": 1e3 * statistics.median(lat),
         "op_tail_ms": 1e3 * tail,
-        "peak_rss_mb": result["rss_mb"],
+        "peak_rss_mb": max(r["rss_mb"] for r in measuring),
     }
     notes = {
         "setup_s": f"median of {len(setup_samples)} fresh processes",
         "cold_s": f"first pass, median of {len(cold_samples)} fresh processes",
-        "ops_per_s": f"{len(result['passes'])} steady passes of "
-                     f"{result['ops_per_pass']} ops, closed loop, one caller, median pass",
+        "ops_per_s": f"{len(passes)} steady passes of {measuring[0]['ops_per_pass']} "
+                     f"ops in {len(measuring)} processes, closed loop, one caller",
         "op_p50_ms": f"n={len(lat)}",
         "op_tail_ms": f"p{pct:g}, n={len(lat)}, "
                       f"{len(lat) - math.ceil(pct / 100.0 * len(lat))} samples beyond",
-        "peak_rss_mb": "ru_maxrss of the workload process",
+        "peak_rss_mb": f"largest ru_maxrss of {len(measuring)} workload processes",
     }
     return metrics, notes
 
@@ -179,31 +184,34 @@ def main(argv=None):
         def worker(*extra):
             return spawn([*common, *extra], env, deadline)
 
-        measured = worker("--seconds", str(args.seconds), "--trace", str(args.trace))
-        results = [measured]
-        if not args.trace:
-            # Extra fresh processes, after the measuring one so that their
-            # samples see another state of a shared host: one more set-up
-            # sample, and cold passes until they cover COLD_SAMPLE_S.
-            results.append(worker("--stop-after", "setup"))
-            cold = [measured["cold_s"]]
-            while sum(cold) < COLD_SAMPLE_S and len(cold) < MAX_COLD_SAMPLES:
-                results.append(worker("--stop-after", "cold"))
-                cold.append(results[-1]["cold_s"])
-        attempted, failures = count_failures(results)
         if args.trace:
+            results = [worker("--seconds", str(args.seconds), "--min-passes", "2",
+                              "--trace", "1")]
             specs = spec["per_layer"]
-            metrics, problems = per_layer(measured)
+            metrics, problems = per_layer(results[0])
             notes = {}
         else:
+            # The steady passes are split between measuring processes that
+            # lie apart in time, so that a run samples more than one state
+            # of a shared host; a set-up-only process follows each.
+            results, steady_s, passes = [], 0.0, 0
+            for left in range(MEASURING, 0, -1):
+                share = max(0.0, args.seconds - steady_s) / left
+                at_least = max(1, math.ceil((MIN_PASSES - passes) / left))
+                r = worker("--seconds", f"{share:.3f}", "--min-passes", str(at_least),
+                           "--trace", "0")
+                steady_s += r["steady_s"]
+                passes += len(r["passes"])
+                results += [r, worker("--stop-after", "setup")]
             specs = spec["end_to_end"]
-            metrics, notes = end_to_end(measured, results)
+            metrics, notes = end_to_end(results)
             problems = []
+        attempted, failures = count_failures(results)
     except BenchError as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 1
 
-    env_info = measured["env"]
+    env_info = results[0]["env"]
     print(f"workload={args.workload} seed={args.seed} seconds={args.seconds} "
           f"trace={args.trace} " + " ".join(f"{k}={v}" for k, v in env_info.items()))
     units = {m["name"]: m["unit"] for m in specs}

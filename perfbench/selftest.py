@@ -29,8 +29,7 @@ from worker import run_pass  # noqa: E402
 
 # cheap op kinds of each workload, enough to reach every layer
 CHEAP = {
-    "fourier_roundtrip": {"table", "duality", "hat"},
-    "radon_slices": {"direct", "helgason", "gauss_slice"},
+    "transforms": {"table", "duality", "hat", "direct", "helgason", "gauss_slice"},
     "symbolic_pairing": {"pair_with_error", "remainder", "ode", "realize"},
 }
 
@@ -64,12 +63,11 @@ class SeededInputs(unittest.TestCase):
 
     def test_any_seed_draws_in_range(self):
         for seed in (0, 1, -7, 2 ** 80):
-            f = workloads.draw("fourier_roundtrip", seed)
-            xis = [x for batches in f["xi_batches"].values() for b in batches for x in b]
-            xis += f["xi_points"]["sech"] + f["xi_points"]["gaussian"]
+            t = workloads.draw("transforms", seed)
+            xis = [x for batches in t["xi_batches"].values() for b in batches for x in b]
+            xis += t["xi_points"]["sech"] + t["xi_points"]["gaussian"]
             self.assertTrue(all(-8 <= x <= 8 for x in xis))
-            r = workloads.draw("radon_slices", seed)
-            for om in r["directions"]:
+            for om in t["directions"]:
                 self.assertAlmostEqual(om[0] ** 2 + om[1] ** 2, 1.0, places=12)
             s = workloads.draw("symbolic_pairing", seed)
             self.assertTrue(all(abs(a) <= 0.5 for pair in s["shifts"] for a in pair))
@@ -82,6 +80,13 @@ class SeededInputs(unittest.TestCase):
             kinds = [collections.Counter(op.kind for op in workloads.make_ops(
                 w, hc, workloads.make_inputs(w, hc, seed))) for seed in (3, 4)]
             self.assertEqual(kinds[0], kinds[1])
+
+    def test_pass_order_spreads_each_kind(self):
+        ops = workloads.make_ops("transforms", hc, workloads.make_inputs("transforms", hc, 3))
+        positions = [i for i, op in enumerate(ops) if op.kind == "roundtrip"]
+        self.assertEqual([4 * i // len(ops) for i in positions], [0, 1, 2, 3])
+        tables = [op.label for op in ops if op.kind == "table"]
+        self.assertNotEqual(tables[0], tables[1])  # inputs take turns
 
 
 class Tracing(unittest.TestCase):
@@ -114,7 +119,7 @@ class Tracing(unittest.TestCase):
             self.assertGreater(first.get("expr.evaluate.calls", 0), 0, w)
 
     def test_closures_on_returned_objects_are_traced(self):
-        ops = [op for op in cheap_ops("fourier_roundtrip", 5) if op.kind == "table"]
+        ops = [op for op in cheap_ops("transforms", 5) if op.kind == "table"]
         counts, _ = traced_counts(ops)
         self.assertEqual(counts["spectral.ft_table.calls"], 28)  # sech, gaussian
         self.assertEqual(counts["spectral.ft_table.xis"], 28 * 64)
@@ -123,7 +128,7 @@ class Tracing(unittest.TestCase):
 
 class Failures(unittest.TestCase):
     def test_perturbed_reference_gives_errors(self):
-        ops = cheap_ops("radon_slices", 5)
+        ops = cheap_ops("transforms", 5)
         self.assertEqual(run_pass(ops)["failed"], [])
         ops[0].ref = ops[0].ref + 1e-3
         failed = run_pass(ops)["failed"]
@@ -131,7 +136,7 @@ class Failures(unittest.TestCase):
         self.assertIn("off its reference", failed[0])
 
     def test_raising_op_counts_as_failed_and_pass_continues(self):
-        ops = cheap_ops("radon_slices", 5)[:3]
+        ops = cheap_ops("transforms", 5)[:3]
 
         def boom():
             raise ArithmeticError("deliberate")

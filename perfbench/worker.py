@@ -2,10 +2,10 @@
 
 Set-up (importing hypercalc and building the seeded inputs) is timed first,
 then references are computed (untimed), then one cold pass over the op list
-and whole steady-state passes until about ``--seconds`` have been measured.
-``--stop-after`` ends the process after set-up or after the cold pass.  With
-``--trace 1`` the steady passes alternate untraced and traced.  The result
-is one JSON object on the last line of standard output.
+and whole steady-state passes until about ``--seconds`` have been measured,
+at least ``--min-passes`` of them.  ``--stop-after setup`` ends the process
+after set-up.  With ``--trace 1`` the steady passes alternate untraced and
+traced.  The result is one JSON object on the last line of standard output.
 
 Run through ``run.py``, which sets PYTHONPATH and the thread settings.
 """
@@ -19,8 +19,6 @@ import platform
 import resource
 import sys
 from time import perf_counter
-
-MIN_PASSES = 4  # enough slow ops in every workload for its tail percentile
 
 
 def run_pass(ops):
@@ -68,7 +66,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--stop-after", choices=("setup", "cold"))
+    ap.add_argument("--min-passes", type=int, default=1)
+    ap.add_argument("--stop-after", choices=("setup",))
     args = ap.parse_args(argv)
 
     t0 = perf_counter()
@@ -96,9 +95,12 @@ def main(argv=None):
         out["cold"] = run_pass(ops)
         out["cold_s"] = perf_counter() - t2
         if args.trace:
-            out.update(traced_passes(hc, ops, args.seconds))
-        elif args.stop_after is None:
-            out["passes"] = steady(lambda: run_pass(ops), args.seconds, MIN_PASSES)
+            out.update(traced_passes(hc, ops, args.seconds, args.min_passes))
+        else:
+            t3 = perf_counter()
+            out["passes"] = steady(lambda: run_pass(ops), args.seconds,
+                                   args.min_passes)
+            out["steady_s"] = perf_counter() - t3
     out["rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     out["env"] = {
         "nproc": len(os.sched_getaffinity(0)),
@@ -110,7 +112,7 @@ def main(argv=None):
     print(json.dumps(out))
 
 
-def traced_passes(hc, ops, seconds):
+def traced_passes(hc, ops, seconds, min_pairs):
     """Alternate untraced and traced passes; the tracer is removed between
     traced passes so untraced ones run the package unmodified."""
     from tracer import Tracer
@@ -129,7 +131,7 @@ def traced_passes(hc, ops, seconds):
         p["trace"] = tracer.snapshot()
         traced.append(p)
 
-    steady(pair, seconds, 1)
+    steady(pair, seconds, min_pairs)
     return {"passes": untraced, "traced": traced}
 
 

@@ -21,15 +21,15 @@ import numpy as np
 
 import oracles
 
-WORKLOADS = ("fourier_roundtrip", "radon_slices", "symbolic_pairing")
+WORKLOADS = ("transforms", "symbolic_pairing")
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 FOURIER_INPUTS = ("sech", "gaussian", "delta", "delta2", "ode_f1")
 XI_BATCH = 64
 # Only sech's and gaussian's transforms run the dense quadrature table (the
-# delta family's are closed forms); their many batches put the workload's
-# median op on that kernel.
+# delta family's are closed forms); their many batches, with the direct Radon
+# slices of smooth inputs, put the workload's median op on small dense kernels.
 TABLE_BATCHES = {"sech": 14, "gaussian": 14}
 
 # tolerances of the acceptance battery
@@ -86,22 +86,8 @@ def _uniform(rng, lo, hi, size):
 def draw(workload: str, seed: int) -> dict:
     """Plain input values for one seed, within the documented ranges."""
     rng = _rng(seed)
-    if workload == "fourier_roundtrip":
-        # each batch spans [-8, 8], so that its table costs the same for
-        # every seed (the grid is sized by the largest |xi|)
-        batches = {label: [[-8.0, 8.0] + _uniform(rng, -8.0, 8.0, XI_BATCH - 2)
-                           for _ in range(TABLE_BATCHES.get(label, 1))]
-                   for label in FOURIER_INPUTS}
-        return {"xi_batches": batches,
-                "xi_points": {"sech": _uniform(rng, -8.0, 8.0, 1),
-                              "gaussian": _uniform(rng, -8.0, 8.0, 1)}}
-    if workload == "radon_slices":
-        phase = float(rng.uniform(0.0, 2.0 * math.pi))
-        return {"phase": phase,
-                "directions": [(math.cos(phase + j * GOLDEN_ANGLE),
-                                math.sin(phase + j * GOLDEN_ANGLE)) for j in range(4)],
-                "helgason_angles": _uniform(rng, 0.0, 2.0 * math.pi, 2),
-                "oracle_angle": float(rng.uniform(0.0, 2.0 * math.pi))}
+    if workload == "transforms":
+        return {**_draw_fourier(rng), **_draw_radon(rng)}
     if workload == "symbolic_pairing":
         return {"shifts": [_uniform(rng, -0.5, 0.5, 2) for _ in range(8)],
                 "heights": _uniform(rng, 0.25, 0.45, 2),
@@ -110,22 +96,62 @@ def draw(workload: str, seed: int) -> dict:
     raise ValueError(f"unknown workload {workload!r}")
 
 
+def _draw_fourier(rng) -> dict:
+    # each batch spans [-8, 8], so that its table costs the same for every
+    # seed (the grid is sized by the largest |xi|)
+    batches = {label: [[-8.0, 8.0] + _uniform(rng, -8.0, 8.0, XI_BATCH - 2)
+                       for _ in range(TABLE_BATCHES.get(label, 1))]
+               for label in FOURIER_INPUTS}
+    return {"xi_batches": batches,
+            "xi_points": {"sech": _uniform(rng, -8.0, 8.0, 1),
+                          "gaussian": _uniform(rng, -8.0, 8.0, 1)}}
+
+
+def _draw_radon(rng) -> dict:
+    phase = float(rng.uniform(0.0, 2.0 * math.pi))
+    return {"phase": phase,
+            "directions": [(math.cos(phase + j * GOLDEN_ANGLE),
+                            math.sin(phase + j * GOLDEN_ANGLE)) for j in range(4)],
+            "helgason_angles": _uniform(rng, 0.0, 2.0 * math.pi, 2),
+            "oracle_angle": float(rng.uniform(0.0, 2.0 * math.pi))}
+
+
 def make_inputs(workload: str, hc, seed: int) -> dict:
     """Seeded values plus the package's corpora: everything the ops read."""
     inputs = {"draws": draw(workload, seed),
-              "suite": {phi.label: phi for phi in hc.corpus.test_suite()}}
-    if workload == "radon_slices":
+              "suite": {phi.label: phi for phi in hc.corpus.test_suite()},
+              "corpus": hc.corpus.default_corpus()}
+    if workload == "transforms":
         inputs["multidim"] = hc.corpus.multidim_corpus()
     else:
-        inputs["corpus"] = hc.corpus.default_corpus()
         inputs["operator"] = hc.corpus.example_operator()
     return inputs
 
 
 def make_ops(workload: str, hc, inputs: dict) -> list:
-    build = {"fourier_roundtrip": _fourier_ops, "radon_slices": _radon_ops,
-               "symbolic_pairing": _symbolic_ops}[workload]
-    return build(hc, inputs)
+    if workload == "transforms":
+        ops = _fourier_ops(hc, inputs) + _radon_ops(hc, inputs)
+    else:
+        ops = _symbolic_ops(hc, inputs)
+    # Run back to back, the cheap ops of one kind would all see the host in
+    # the same fraction of a second; spread out, they sample the whole pass,
+    # as the median and the tail percentile they set should.  Inputs take
+    # turns within a kind, then the kinds are spread through the pass.
+    ops = _spread(ops, lambda op: (op.kind, op.label.split("/")[0]))
+    return _spread(ops, lambda op: op.kind)
+
+
+def _spread(ops: list, group) -> list:
+    """Stable reorder that spreads the ops of each ``group`` evenly."""
+    sizes: dict = {}
+    for op in ops:
+        sizes[group(op)] = sizes.get(group(op), 0) + 1
+    seen: dict = {}
+    keyed = []
+    for i, op in enumerate(ops):
+        j = seen[group(op)] = seen.get(group(op), -1) + 1
+        keyed.append(((j + 0.5) / sizes[group(op)], i))
+    return [ops[i] for _, i in sorted(keyed)]
 
 
 # --------------------------------------------------------------------------
@@ -186,8 +212,10 @@ def _radon_ops(hc, inputs):
     def sources(label):
         return getattr(md[label], "sources", ())
 
-    # the direct route is cheap, the Fourier route is not: the median of
-    # this workload measures the first and its tail the second
+    # the direct route is cheap, the Fourier route is not: with the Fourier
+    # tables, the direct slices hold the median of this workload, and the
+    # Fourier-route slices its tail (the four round trips are fewer than the
+    # samples the tail percentile leaves beyond it)
     for j, om in enumerate(d["directions"]):
         for label in sorted(md):
             ref = [oracles.slice_pairing(label, sources(label), om, phi.label)]
