@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .growth import GrowthClass, GrowthError
-from .quad import (ContourSpec, DivergentTailError, adaptive_interval,
+from .quad import (ContourSpec, DivergentTailError, _leggauss, adaptive_interval,
                    auto_radius, tail_bound, verify_growth)
 
 __all__ = [
@@ -29,14 +29,6 @@ __all__ = [
 ]
 
 TWO_PI_I = 2j * math.pi
-
-_GL_CACHE: dict = {}
-
-
-def _leggauss(m):
-    if m not in _GL_CACHE:
-        _GL_CACHE[m] = np.polynomial.legendre.leggauss(m)
-    return _GL_CACHE[m]
 
 
 class AdmissibilityError(Exception):

@@ -20,8 +20,8 @@ from . import expr as ex
 from . import hyper as hy
 from . import spectral as sp
 from .growth import GrowthClass
-from .hyper import Hyperfunction1D, TestFunction, TWO_PI_I, _leggauss
-from .quad import DimensionError, integrate_box
+from .hyper import Hyperfunction1D, TestFunction, TWO_PI_I
+from .quad import CompositeRule, ConvergenceError, DimensionError, integrate_box
 
 __all__ = [
     "SmoothRapid", "PointSource", "DeltaCombo", "RadonSlice", "HomogeneousPoly",
@@ -158,28 +158,14 @@ def _check_unit(omega):
 
 
 def _tensor_grid(radius: float, n: int, panels: int, deg: int = 8):
-    nodes, wts = _leggauss(deg)
-    edges = np.linspace(-radius, radius, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    axis = (mid[:, None] + half * nodes[None, :]).ravel()
-    aw = np.tile(half * wts, panels)
-    mesh = np.meshgrid(*([axis] * n), indexing="ij")
+    rule = CompositeRule(-radius, radius, panels, deg)
+    mesh = np.meshgrid(*([rule.points] * n), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*([aw] * n), indexing="ij")
+    wmesh = np.meshgrid(*([rule.weights] * n), indexing="ij")
     w = wmesh[0].ravel()
     for wm in wmesh[1:]:
         w = w * wm.ravel()
     return pts, w
-
-
-def _composite_axis(extent: float, panels: int, deg: int = 8):
-    nodes, wts = _leggauss(deg)
-    edges = np.linspace(-extent, extent, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    axis = (mid[:, None] + half * nodes[None, :]).ravel()
-    return axis, np.tile(half * wts, panels)
 
 
 def _projection(f, omega, frame, u_axis, trans_panels):
@@ -241,9 +227,9 @@ def radon_transform(f: MultiDimFunction, omega, abs_tol: float = 1e-9) -> RadonS
     def weighted_projection(u_panels, trans_panels):
         key = (u_panels, trans_panels)
         if key not in state["cache"]:
-            u_axis, uw = _composite_axis(extent, u_panels)
-            pv = _projection(f, omega, frame, u_axis, trans_panels) * uw
-            state["cache"][key] = (u_axis, pv)
+            rule = CompositeRule(-extent, extent, u_panels, 8)
+            pv = _projection(f, omega, frame, rule.points, trans_panels) * rule.weights
+            state["cache"][key] = (rule.points, pv)
         return state["cache"][key]
 
     def G(tau):
@@ -315,22 +301,18 @@ def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
         trans_panels = 12
         prev = None
         while True:
-            u_axis, uw = _composite_axis(extent, u_panels)
-            pv = _projection(f, omega, frame, u_axis, trans_panels) * uw
-            out = np.empty(rhos.shape, dtype=complex)
-            flat = rhos.ravel()
-            for start in range(0, flat.size, 512):
-                chunk = flat[start:start + 512]
-                out.ravel()[start:start + 512] = \
-                    np.exp(-1j * np.multiply.outer(chunk, u_axis)) @ pv
+            if u_panels > 4096:
+                raise ConvergenceError(
+                    f"Fourier ray table needs more than 4096 u-panels "
+                    f"(|rho| up to {peak:g})")
+            rule = CompositeRule(-extent, extent, u_panels, 8)
+            pv = _projection(f, omega, frame, rule.points, trans_panels) * rule.weights
+            out = rule.exp_sum(rhos, pv, -1j)
             if prev is not None and np.max(np.abs(out - prev)) <= 1e-10:
-                break
-            if u_panels >= 4096:
-                break
+                return out
             prev = out
             u_panels *= 2
             trans_panels = min(48, trans_panels * 2)
-        return out
 
     def hat(rho, order=0):
         if order != 0:

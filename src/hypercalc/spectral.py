@@ -4,7 +4,9 @@ The Fourier transform of an asymptotic hyperfunction is an infra-exponential
 smooth function, computed here by contour pairing against e^(-i z xi), or in
 closed form from the Laurent coefficients when the input is delta-like.
 Derivatives of transforms are obtained by inserting (-i z)^k into the
-integrand, never by differencing.
+integrand, never by differencing.  Batched transforms, inverse branches and
+the structural f0 evaluate their exp(+-i t x) sums over composite
+Gauss-Legendre grids with the factored kernel ``quad.CompositeRule.exp_sum``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from . import expr as ex
 from . import hyper as hy
 from .growth import GrowthClass
 from .hyper import (AdmissibilityError, ContourSpec, Hyperfunction1D,
-                    TestFunction, LocalOperator, TWO_PI_I, _leggauss)
-from .quad import adaptive_interval, auto_radius as quad_auto_radius
+                    TestFunction, LocalOperator, TWO_PI_I)
+from .quad import (CompositeRule, ConvergenceError, adaptive_interval,
+                   auto_radius as quad_auto_radius)
 
 __all__ = [
     "SmoothField", "MomentSequence", "AsymptoticSum", "fourier_transform",
@@ -139,26 +142,32 @@ def _laurent_coefficients(f: Hyperfunction1D, m_max: int = 64,
 
 
 def _delta_like_hat(f: Hyperfunction1D):
-    """Closed-form transform: hat f(xi) = -2 pi i Res(F(z) (-iz)^q e^(-iz xi))."""
+    """Closed-form transform: hat f(xi) = -2 pi i Res(F(z) (-iz)^q e^(-iz xi)).
+
+    The residue is sum_l a_(l+1) T_l, T_l the l-th Taylor coefficient of
+    (-iz)^q e^(-iz xi) at x0, i.e. e^(-i x0 xi) sum_j D_j (-i xi)^(l-j) /
+    (j! (l-j)!) with D_j the j-th derivative of (-iz)^q at x0.  Grouped by
+    j, each inner sum is one polynomial in -i xi, evaluated by Horner.
+    """
     x0, a = _laurent_coefficients(f)
     M = len(a)
+    inv_fact = np.array([1.0 / math.factorial(n) for n in range(M)])
 
     def hat(xi, order=0):
         xi = np.asarray(xi, dtype=float)
         q = order
-        phase = np.exp(-1j * x0 * xi)
+        w = -1j * xi
         total = np.zeros(np.shape(xi), dtype=complex)
-        for m in range(1, M + 1):
-            l = m - 1  # need the l-th Taylor coefficient of (-iz)^q e^(-iz xi)
-            deriv = np.zeros(np.shape(xi), dtype=complex)
-            for j in range(0, min(l, q) + 1):
-                poly = ((-1j) ** q * math.factorial(q) / math.factorial(q - j)
-                        * x0 ** (q - j)) if (x0 != 0 or q == j) else 0.0
-                if poly == 0:
-                    continue
-                deriv = deriv + (math.comb(l, j) * poly * (-1j * xi) ** (l - j))
-            total = total + a[m - 1] * deriv / math.factorial(l)
-        return -TWO_PI_I * total * phase
+        for j in range(min(q, M - 1) + 1):
+            poly = ((-1j) ** q * math.factorial(q) / math.factorial(q - j)
+                    * x0 ** (q - j)) if (x0 != 0 or q == j) else 0.0
+            if poly == 0:
+                continue
+            total = total + poly / math.factorial(j) * np.polynomial.polynomial.polyval(
+                w, a[j:] * inv_fact[:M - j])
+        if x0 != 0:
+            total = total * np.exp(-1j * x0 * xi)
+        return -TWO_PI_I * total
 
     return hat
 
@@ -233,46 +242,37 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
         xi_peak = max(1.0, float(np.max(np.abs(xis))))
         radius = radius_for(0)
         panels = max(64, int(radius * xi_peak / math.pi) + 1)
-        nodes8, wts8 = _leggauss(8)
-        out = np.empty(xis.shape, dtype=complex)
+        flat = xis.ravel()
+        groups = ([(flat > 0, -eta, -eta), (flat <= 0, eta, eta)]
+                  if one_sided else [(np.ones(flat.shape, bool), eta, -eta)])
         prev = None
         while True:
-            edges = np.linspace(-radius, radius, panels + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1] - edges[0])
-            x = (mid[:, None] + half * nodes8[None, :]).ravel()
-            w = np.tile(half * wts8, panels)
-            flat = xis.ravel()
-            groups = ([(flat > 0, -eta, -eta), (flat <= 0, eta, eta)]
-                      if one_sided else [(np.ones(flat.shape, bool), eta, -eta)])
+            if panels > (1 << 16):
+                raise ConvergenceError(
+                    f"Fourier table needs more than {1 << 16} panels "
+                    f"(|xi| up to {xi_peak:g})")
+            rule = CompositeRule(-radius, radius, panels, 8)
+            x = rule.points
             res = np.empty(flat.shape, dtype=complex)
             for mask, s_p, s_m in groups:
                 sub = flat[mask]
                 if not sub.size:
                     continue
-                zp, zm = x + 1j * s_p, x + 1j * s_m
-                fp = None if plus_zero else np.broadcast_to(
-                    hy._eval_branch(f.f_plus, zp), x.shape)
-                fm = None if minus_zero else np.broadcast_to(
-                    hy._eval_branch(f.f_minus, zm), x.shape)
-                vals = np.empty(sub.shape, dtype=complex)
-                for start in range(0, sub.size, 256):
-                    chunk = sub[start:start + 256]
-                    acc = 0.0
-                    if fp is not None:
-                        acc = (np.exp(-1j * np.multiply.outer(chunk, zp)) * fp) @ w
-                    if fm is not None:
-                        acc = acc - (np.exp(-1j * np.multiply.outer(chunk, zm)) * fm) @ w
-                    vals[start:start + 256] = acc
-                res[mask] = vals
+                # exp(-i xi (x + i s)) = exp(xi s) exp(-i xi x)
+                amps, shifts = [], []
+                if not plus_zero:
+                    amps.append(hy._eval_branch(f.f_plus, x + 1j * s_p) * rule.weights)
+                    shifts.append(s_p)
+                if not minus_zero:
+                    amps.append(-hy._eval_branch(f.f_minus, x + 1j * s_m) * rule.weights)
+                    shifts.append(s_m)
+                sums = rule.exp_sum(sub, np.array(amps), -1j)
+                res[mask] = sum(np.exp(sub * s) * row for s, row in zip(shifts, sums))
             out = res.reshape(xis.shape)
             if prev is not None and np.max(np.abs(out - prev)) <= 1e-10:
-                break
-            if panels >= (1 << 16):
-                break
-            prev = out.copy()
+                return out
+            prev = out
             panels *= 2
-        return out
 
     scale = abs(complex(np.asarray(hat(0.0)))) + 1.0
     growth = (GrowthClass.exp_decay(eta, constant=10.0 * scale) if one_sided
@@ -314,24 +314,19 @@ def inverse_fourier(g: SmoothField, label: str = "", abs_tol: float = 1e-10,
             xmax = float(np.max(np.abs(zs.real)))
             lo, hi = (0.0, X) if sign > 0 else (-X, 0.0)
             panels = max(8, int(xmax * X / math.pi) + 1)
-            nodes16, wts16 = _leggauss(16)
             prev = None
             while True:
-                edges = np.linspace(lo, hi, panels + 1)
-                mid = 0.5 * (edges[:-1] + edges[1:])
-                half = 0.5 * (edges[1] - edges[0])
-                xi = (mid[:, None] + half * nodes16[None, :]).ravel()
-                w = np.tile(half * wts16, panels)
-                gv = np.asarray(gg(xi, 0))
-                ker = np.exp(1j * zs[:, None] * xi[None, :])
-                cur = sign / (2.0 * math.pi) * (ker * gv[None, :]) @ w
+                if panels * 16 > (1 << 18):
+                    raise ConvergenceError(
+                        f"inverse Fourier branch did not reach abs_tol={abs_tol:g} "
+                        f"within {1 << 18} nodes")
+                rule = CompositeRule(lo, hi, panels, 16)
+                gv = np.asarray(gg(rule.points, 0))
+                cur = sign / (2.0 * math.pi) * rule.exp_sum(zs, gv * rule.weights, 1j)
                 if prev is not None and np.max(np.abs(cur - prev)) <= abs_tol:
-                    break
-                if panels * 16 >= (1 << 18):
-                    break
+                    return cur if np.ndim(z) else cur[0]
                 prev = cur
                 panels *= 2
-            return cur if np.ndim(z) else cur[0]
 
         return F
 
@@ -624,26 +619,22 @@ def structural_representation(f: Hyperfunction1D, J: Optional[LocalOperator] = N
         xi_max *= 2.0
 
     panels = max(64, int(2 * x_max * xi_max / math.pi))
-    edges = np.linspace(-xi_max, xi_max, panels + 1)
-    nodes10, wts10 = _leggauss(10)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    xi = (mid[:, None] + half * nodes10[None, :]).ravel()
-    w = np.tile(half * wts10, panels)
+    rule = CompositeRule(-xi_max, xi_max, panels, 10)
+    xi = rule.points
     if field.table is not None:
         gv = np.asarray(field.table(xi)) / (np.asarray(J.symbol(xi)) * (1.0 + xi ** 2))
     elif field.cheap:
         gv = np.asarray(fhat0(xi))
     else:
         gv = np.asarray([complex(np.asarray(fhat0(x))) for x in xi])
-    wg = w * gv
+    wg = rule.weights * gv
 
     c_plus = complex(np.asarray(fhat0(xi_max))) * xi_max ** 2
     c_minus = complex(np.asarray(fhat0(-xi_max))) * xi_max ** 2
 
     def f0(x):
         xr = np.atleast_1d(np.real(np.asarray(x))).astype(float)
-        vals = np.exp(1j * np.multiply.outer(xr, xi)) @ wg
+        vals = rule.exp_sum(xr, wg, 1j)
         for i, xv in enumerate(xr):
             vals[i] += (c_plus * _tail_kernel(xv, xi_max)
                         + c_minus * _tail_kernel(-xv, xi_max))
