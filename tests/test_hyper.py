@@ -1,5 +1,7 @@
 import math
+import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import hypercalc.corpus as cp
 import hypercalc.expr as ex
 import hypercalc.hyper as hy
 from hypercalc.growth import GrowthClass
-from hypercalc.quad import ContourSpec
+from hypercalc.quad import ContourSpec, ConvergenceError
 
 SUITE = cp.test_suite()
 
@@ -79,6 +81,53 @@ def test_standardize_preserves_pairings():
     g = hy.standardize(f)
     phi = SUITE[0]
     assert abs(hy.pair(f, phi) - hy.pair(g, phi)) < 1e-8
+
+
+# <f, exp(-x^2)> for the line-route members of the corpus
+_STANDARDIZE_ORACLES = {
+    "sech": lambda x: mp.sech(x),
+    "gaussian": lambda x: mp.exp(-x * x / 2),
+    "lorentz": lambda x: 1 / (1 + x * x),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_STANDARDIZE_ORACLES))
+def test_standardize_line_route_matches_oracle(label):
+    f = cp.default_corpus()[label]
+    phi = SUITE[0]
+    fx = _STANDARDIZE_ORACLES[label]
+    want = complex(mp.quad(lambda x: fx(x) * mp.exp(-x * x), [-mp.inf, 0, mp.inf]))
+    got = hy.pair(hy.standardize(f), phi)
+    assert abs(got - want) <= 1e-6 * abs(want)
+
+
+def test_standardize_is_history_free():
+    f = cp.default_corpus()["sech"]
+    z = np.linspace(-3.0, 3.0, 7) + 0.25j
+    warmed = hy.standardize(f).f_plus
+    warmed(np.linspace(-8.0, 8.0, 21) + 0.1j)
+    warmed(np.array([0.5 + 0.4j, -2.0 + 0.2j]))
+    assert np.array_equal(warmed(z), hy.standardize(f).f_plus(z))
+
+
+def test_standardize_near_real_axis_raises_quickly():
+    G = hy.standardize(cp.default_corpus()["sech"]).f_plus
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        G(np.linspace(-20.0, 20.0, 21) + 0.03j)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_cauchy_hilbert_kernel_formula():
+    z, w = 0.3 + 0.4j, np.array([-1.0 + 0.1j, 0.2 - 0.3j])
+    d = z - w
+    want = (-1.0 / (2j * math.pi)) * np.exp(-(d * d)) / d
+    assert np.allclose(hy.cauchy_hilbert_kernel(z)(w), want, rtol=1e-15, atol=0.0)
+
+
+def test_pair_circle_raises_at_node_cap():
+    with pytest.raises(ConvergenceError):
+        hy._pair_circle(hy.delta_derivative(2), SUITE[0], 0.45, 1e-10, max_nodes=64)
 
 
 def test_local_operator_finite_application():
