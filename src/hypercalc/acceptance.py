@@ -26,7 +26,8 @@ from . import spectral as sp
 from .growth import GrowthClass
 from .quad import ContourSpec, adaptive_interval
 
-__all__ = ["CheckResult", "run_all", "report_json", "direction_set", "CHECKS"]
+__all__ = ["CheckResult", "run_all", "report_json", "direction_set", "worker_count",
+           "CHECKS"]
 
 
 @dataclass
@@ -43,7 +44,8 @@ class CheckResult:
         return f"[{status}] {self.cid:2d} {self.name}{err}"
 
 
-def _worker_count() -> int:
+def worker_count() -> int:
+    """Threads for the battery and the CLI: ``HYPERCALC_THREADS``, at least 1."""
     try:
         return max(1, int(os.environ.get("HYPERCALC_THREADS", "1")))
     except ValueError:
@@ -189,7 +191,7 @@ def check_radon_two_route(seed: int) -> CheckResult:
     phi = cp.test_suite()[0]
     labels = sorted(md)
     jobs = [(label, om) for label in labels for om in dirs]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         rels = list(pool.map(lambda j: _two_route_delta(md[j[0]], j[1], phi),
                              jobs))
     worst = max(rels)

@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +31,7 @@ from . import odeseries as od
 from . import radon as rd
 from . import spectral as sp
 from .growth import GrowthClass
-from .quad import ContourSpec
+from .quad import ContourSpec, ConvergenceError
 
 OPS_BY_SUBCOMMAND = {
     "pair": ["hyper.pair", "hyper.pair_with_error", "hyper.standardize",
@@ -208,13 +207,6 @@ def _get_multidim(label: str) -> rd.MultiDimFunction:
         raise UsageError(f"unknown multidim label {label!r} "
                          f"(choices: {sorted(md)})")
     return md[label]
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("HYPERCALC_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +406,7 @@ def cmd_radon(cfg: JobConfig, rep: Report):
         v2 = hy.pair(rd.radon_via_fourier(f, om), phi)
         return v1, abs(v1 - v2) / (1.0 + abs(v1))
 
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=ac.worker_count()) as pool:
         results = list(pool.map(one, dirs))
     rows = [[om[0], om[1], v.real, v.imag, d]
             for om, (v, d) in zip(dirs, results)]
@@ -695,6 +687,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 1 if rep.failed else 0
 
 

@@ -3,15 +3,15 @@
 The grammar is deliberately small: rational arithmetic, integer powers,
 ``exp``, ``sech``, ``tanh`` and ``gaussian(u) = exp(-u^2)``, over the
 variable ``z`` (one-dimensional) or coordinates ``x1`` .. ``x9``.  Trees are
-immutable, evaluation is pure and accepts numpy arrays, and differentiation
-is symbolic.
+immutable and interned, evaluation is pure and accepts numpy arrays, and
+differentiation is symbolic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+import threading
+import weakref
 
 import numpy as np
 
@@ -39,66 +39,181 @@ class PoleError(ExprError):
 
 # ---------------------------------------------------------------------------
 # AST
+#
+# Nodes are hash-consed: a constructor returns the one live node with the
+# given class, children and scalar fields, so structurally equal trees are
+# the same object and equality and hashing are by identity.  A derivative
+# tower, whose unfolded tree grows exponentially with the order, is then a
+# graph whose distinct nodes grow polynomially, and every walk below visits
+# each distinct node once per call, iteratively, so that the depth of a tree
+# is not bounded by Python's recursion limit.
+
+# intern key -> the live node; an entry goes when its node is collected
+_NODES = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
 
 
-@dataclass(frozen=True)
+def _scalar_key(v):
+    # == merges 0.5 with 0.5+0j and 0.0 with -0.0, which evaluate differently
+    if isinstance(v, (float, complex, np.inexact)):
+        return (type(v), v, math.copysign(1.0, v.real), math.copysign(1.0, v.imag))
+    return (type(v), v)
+
+
+def _intern(cls, key, *values):
+    with _NODES_LOCK:
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, values):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_plan", None)
+            _NODES[key] = node
+    return node
+
+
 class Expr:
+    """An immutable, interned expression node; equality is identity."""
+
+    __slots__ = ("_plan", "__weakref__")  # _plan: evaluate's compiled program
+    _fields = ()
+
     def __call__(self, z, **coords):
         env = dict(coords)
         if z is not None:
             env["z"] = z
         return evaluate(self, env)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
-@dataclass(frozen=True)
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        # copies and unpickled nodes are interned like any other
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def _children(self):
+        return ()
+
+    def _rebuilt(self, children):
+        """This node over new children."""
+        return self
+
+
 class Const(Expr):
-    value: complex
+    __slots__ = ("value",)
+    _fields = ("value",)
+
+    def __new__(cls, value: complex):
+        return _intern(cls, (cls, _scalar_key(value)), value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+    _fields = ("name",)
+
+    def __new__(cls, name: str):
+        return _intern(cls, (cls, name), name)
 
 
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+class _Binary(Expr):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
+
+    def __new__(cls, left: Expr, right: Expr):
+        return _intern(cls, (cls, left, right), left, right)
+
+    def _children(self):
+        return (self.left, self.right)
+
+    def _rebuilt(self, children):
+        return type(self)(*children)
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Div(_Binary):
+    __slots__ = ()
+
+
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+    _fields = ("arg",)
+
+    def __new__(cls, arg: Expr):
+        return _intern(cls, (cls, arg), arg)
+
+    def _children(self):
+        return (self.arg,)
+
+    def _rebuilt(self, children):
+        return Neg(*children)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
+    _fields = ("base", "exponent")
+
+    def __new__(cls, base: Expr, exponent: int):
+        return _intern(cls, (cls, base, _scalar_key(exponent)), base, exponent)
+
+    def _children(self):
+        return (self.base,)
+
+    def _rebuilt(self, children):
+        return Pow(children[0], self.exponent)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    func: str  # one of _FUNCTIONS
-    arg: Expr
+    __slots__ = ("func", "arg")
+    _fields = ("func", "arg")  # func: one of _FUNCTIONS
+
+    def __new__(cls, func: str, arg: Expr):
+        return _intern(cls, (cls, func, arg), func, arg)
+
+    def _children(self):
+        return (self.arg,)
+
+    def _rebuilt(self, children):
+        return Call(self.func, children[0])
+
+
+def _map_distinct(root, rule, done=None):
+    """``rule(node, results of its children)`` over the distinct nodes under
+    ``root``, children first; returns the root's result.  ``done`` maps the
+    nodes already mapped to their results."""
+    if done is None:
+        done = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+            continue
+        children = node._children()
+        pending = [c for c in children if c not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        done[node] = rule(node, [done[c] for c in children])
+    return done[root]
 
 
 # ---------------------------------------------------------------------------
@@ -321,55 +436,133 @@ def _sech(u):
     )
 
 
+def _gaussian(u):
+    return np.exp(-(u * u))
+
+
+_CALLS = {"exp": np.exp, "sech": _sech, "tanh": np.tanh, "gaussian": _gaussian}
+
+# opcodes of an evaluation plan, a post-order stack program
+(_CONST, _VAR, _ADD, _SUB, _MUL, _DEN, _DIV, _NEG, _POW, _CALL,
+ _STORE, _LOAD, _TAKE) = range(13)
+
+
+def _steps(e):
+    """The subtrees and opcodes of one node, in evaluation order."""
+    if isinstance(e, Add):
+        return (e.left, e.right, (_ADD, None))
+    if isinstance(e, Sub):
+        return (e.left, e.right, (_SUB, None))
+    if isinstance(e, Mul):
+        return (e.left, e.right, (_MUL, None))
+    if isinstance(e, Div):
+        # the denominator is checked before the numerator is evaluated
+        return (e.right, (_DEN, None), e.left, (_DIV, None))
+    if isinstance(e, Neg):
+        return (e.arg, (_NEG, None))
+    if isinstance(e, Pow):
+        return (e.base, (_POW, e.exponent))
+    if isinstance(e, Call):
+        if e.func not in _CALLS:
+            raise ExprError(f"unknown function {e.func!r}")
+        return (e.arg, (_CALL, _CALLS[e.func]))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _compile(root):
+    """Evaluation plan with one step per distinct node.
+
+    A node with more than one parent is computed once, stored, read again
+    by its other parents and dropped after the last one; every other value
+    lives on the stack only until its parent consumes it.
+    """
+    uses = {root: 0}
+    stack = [root]
+    while stack:
+        for child in stack.pop()._children():
+            if child in uses:
+                uses[child] += 1
+            else:
+                uses[child] = 1
+                stack.append(child)
+    plan = []
+    slots = {}  # shared node -> [slot, reads left]
+    work = [root]
+    while work:
+        item = work.pop()
+        if type(item) is tuple:
+            plan.append(item)
+        elif isinstance(item, Const):
+            plan.append((_CONST, item.value))
+        elif isinstance(item, Var):
+            plan.append((_VAR, item.name))
+        elif item in slots:
+            slot = slots[item]
+            slot[1] -= 1
+            plan.append((_LOAD if slot[1] else _TAKE, slot[0]))
+        else:
+            if uses[item] > 1:
+                slots[item] = [len(slots), uses[item] - 1]
+                work.append((_STORE, slots[item][0]))
+            work.extend(reversed(_steps(item)))
+    return tuple(plan)
+
+
 def evaluate(e: Expr, env, eps_pole: float = EPS_POLE):
     """Evaluate at a point (or numpy array of points) given by ``env``.
 
     ``env`` maps coordinate names to values; a bare complex number is
-    shorthand for ``{"z": value}``.
+    shorthand for ``{"z": value}``.  Each distinct subexpression is evaluated
+    once; the compiled plan is kept on ``e`` and goes with it.
     """
     if not isinstance(env, dict):
         env = {"z": env}
-    return _eval(e, env, eps_pole)
-
-
-def _eval(e, env, eps_pole):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise ExprError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Add):
-        return _eval(e.left, env, eps_pole) + _eval(e.right, env, eps_pole)
-    if isinstance(e, Sub):
-        return _eval(e.left, env, eps_pole) - _eval(e.right, env, eps_pole)
-    if isinstance(e, Mul):
-        return _eval(e.left, env, eps_pole) * _eval(e.right, env, eps_pole)
-    if isinstance(e, Div):
-        den = _eval(e.right, env, eps_pole)
-        if np.min(np.abs(den)) < eps_pole:
-            raise PoleError("denominator magnitude below pole threshold")
-        return _eval(e.left, env, eps_pole) / den
-    if isinstance(e, Neg):
-        return -_eval(e.arg, env, eps_pole)
-    if isinstance(e, Pow):
-        base = _eval(e.base, env, eps_pole)
-        if e.exponent < 0 and np.min(np.abs(base)) < eps_pole:
-            raise PoleError("negative power of a near-zero base")
-        return base ** e.exponent
-    if isinstance(e, Call):
-        u = _eval(e.arg, env, eps_pole)
-        if e.func == "exp":
-            return np.exp(u)
-        if e.func == "sech":
-            return _sech(u)
-        if e.func == "tanh":
-            return np.tanh(u)
-        if e.func == "gaussian":
-            return np.exp(-(u * u))
-        raise ExprError(f"unknown function {e.func!r}")
-    raise TypeError(f"not an expression: {e!r}")
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression: {e!r}")
+    plan = e._plan
+    if plan is None:
+        plan = _compile(e)
+        object.__setattr__(e, "_plan", plan)
+    stack = []
+    push, pop = stack.append, stack.pop
+    saved = {}
+    # A binary step reads its left operand as stack[-2] before pop() takes
+    # the right one; the target stack[-1] is resolved after both, so the
+    # result replaces the left operand and no operand outlives the step.
+    for op, arg in plan:
+        if op == _MUL:
+            stack[-1] = stack[-2] * pop()
+        elif op == _ADD:
+            stack[-1] = stack[-2] + pop()
+        elif op == _CONST:
+            push(arg)
+        elif op == _VAR:
+            try:
+                push(env[arg])
+            except KeyError:
+                raise ExprError(f"unbound variable {arg!r}") from None
+        elif op == _POW:
+            if arg < 0 and np.min(np.abs(stack[-1])) < eps_pole:
+                raise PoleError("negative power of a near-zero base")
+            stack[-1] = stack[-1] ** arg
+        elif op == _NEG:
+            stack[-1] = -stack[-1]
+        elif op == _SUB:
+            stack[-1] = stack[-2] - pop()
+        elif op == _DEN:
+            if np.min(np.abs(stack[-1])) < eps_pole:
+                raise PoleError("denominator magnitude below pole threshold")
+        elif op == _DIV:  # the numerator is on top
+            stack[-1] = pop() / stack[-1]
+        elif op == _CALL:
+            stack[-1] = arg(stack[-1])
+        elif op == _STORE:
+            saved[arg] = stack[-1]
+        elif op == _LOAD:
+            push(saved[arg])
+        else:  # _TAKE, the last read
+            push(saved.pop(arg))
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------
@@ -383,102 +576,124 @@ def _is_const(e, v=None):
     return isinstance(e, Const) and (v is None or e.value == v)
 
 
-def simplify(e: Expr) -> Expr:
-    if isinstance(e, Add):
-        a, b = simplify(e.left), simplify(e.right)
-        if _is_const(a) and _is_const(b):
-            return Const(a.value + b.value)
-        if _is_const(a, 0):
-            return b
-        if _is_const(b, 0):
-            return a
-        return Add(a, b)
-    if isinstance(e, Sub):
-        a, b = simplify(e.left), simplify(e.right)
-        if _is_const(a) and _is_const(b):
-            return Const(a.value - b.value)
-        if _is_const(b, 0):
-            return a
-        if _is_const(a, 0):
-            return simplify(Neg(b))
-        return Sub(a, b)
-    if isinstance(e, Mul):
-        a, b = simplify(e.left), simplify(e.right)
-        if _is_const(a) and _is_const(b):
-            return Const(a.value * b.value)
-        if _is_const(a, 0) or _is_const(b, 0):
-            return _ZERO
-        if _is_const(a, 1):
-            return b
-        if _is_const(b, 1):
-            return a
-        return Mul(a, b)
-    if isinstance(e, Div):
-        a, b = simplify(e.left), simplify(e.right)
-        if _is_const(a, 0):
-            return _ZERO
-        if _is_const(b, 1):
-            return a
-        if _is_const(a) and _is_const(b) and b.value != 0:
-            return Const(a.value / b.value)
-        return Div(a, b)
-    if isinstance(e, Neg):
-        a = simplify(e.arg)
-        if _is_const(a):
-            return Const(-a.value)
-        if isinstance(a, Neg):
-            return a.arg
-        return Neg(a)
+# Folding constructors: each builds one node over already simplified
+# operands, exactly as `simplify` would leave it.
+
+
+def _add(a, b):
+    if _is_const(a) and _is_const(b):
+        return Const(a.value + b.value)
+    if _is_const(a, 0):
+        return b
+    if _is_const(b, 0):
+        return a
+    return Add(a, b)
+
+
+def _sub(a, b):
+    if _is_const(a) and _is_const(b):
+        return Const(a.value - b.value)
+    if _is_const(b, 0):
+        return a
+    if _is_const(a, 0):
+        return _neg(b)
+    return Sub(a, b)
+
+
+def _mul(a, b):
+    if _is_const(a) and _is_const(b):
+        return Const(a.value * b.value)
+    if _is_const(a, 0) or _is_const(b, 0):
+        return _ZERO
+    if _is_const(a, 1):
+        return b
+    if _is_const(b, 1):
+        return a
+    return Mul(a, b)
+
+
+def _div(a, b):
+    if _is_const(a, 0):
+        return _ZERO
+    if _is_const(b, 1):
+        return a
+    if _is_const(a) and _is_const(b) and b.value != 0:
+        return Const(a.value / b.value)
+    return Div(a, b)
+
+
+def _neg(a):
+    if _is_const(a):
+        return Const(-a.value)
+    if isinstance(a, Neg):
+        return a.arg
+    return Neg(a)
+
+
+def _pow(b, exponent):
+    if exponent == 0:
+        return _ONE
+    if exponent == 1:
+        return b
+    if _is_const(b):
+        return Const(b.value ** exponent)
+    return Pow(b, exponent)
+
+
+_FOLDERS = {Add: _add, Sub: _sub, Mul: _mul, Div: _div, Neg: _neg}
+
+
+def _folded(e, kids):
+    """``e`` over its simplified children ``kids``, constants folded."""
+    fold = _FOLDERS.get(type(e))
+    if fold is not None:
+        return fold(*kids)
     if isinstance(e, Pow):
-        b = simplify(e.base)
-        if e.exponent == 0:
-            return _ONE
-        if e.exponent == 1:
-            return b
-        if _is_const(b):
-            return Const(b.value ** e.exponent)
-        return Pow(b, e.exponent)
-    if isinstance(e, Call):
-        return Call(e.func, simplify(e.arg))
-    return e
+        return _pow(kids[0], e.exponent)
+    return e._rebuilt(kids)
+
+
+def simplify(e: Expr) -> Expr:
+    return _map_distinct(e, _folded)
 
 
 # ---------------------------------------------------------------------------
 # Differentiation
 
 
-def _d(e, coord):
+def _derivative(e, dkids, coord):
+    """Simplified d/d(coord) of the simplified node ``e``, given those of its
+    children: what simplifying the derivative's tree would give."""
     if isinstance(e, Const):
         return _ZERO
     if isinstance(e, Var):
         return _ONE if e.name == coord else _ZERO
     if isinstance(e, Add):
-        return Add(_d(e.left, coord), _d(e.right, coord))
+        return _add(*dkids)
     if isinstance(e, Sub):
-        return Sub(_d(e.left, coord), _d(e.right, coord))
+        return _sub(*dkids)
     if isinstance(e, Neg):
-        return Neg(_d(e.arg, coord))
+        return _neg(dkids[0])
     if isinstance(e, Mul):
-        return Add(Mul(_d(e.left, coord), e.right), Mul(e.left, _d(e.right, coord)))
+        return _add(_mul(dkids[0], e.right), _mul(e.left, dkids[1]))
     if isinstance(e, Div):
-        num = Sub(Mul(_d(e.left, coord), e.right), Mul(e.left, _d(e.right, coord)))
-        return Div(num, Pow(e.right, 2))
+        num = _sub(_mul(dkids[0], e.right), _mul(e.left, dkids[1]))
+        return _div(num, _pow(e.right, 2))
     if isinstance(e, Pow):
-        return Mul(Mul(Const(complex(e.exponent)), Pow(e.base, e.exponent - 1)),
-                   _d(e.base, coord))
+        return _mul(_mul(Const(complex(e.exponent)), _pow(e.base, e.exponent - 1)),
+                    dkids[0])
     if isinstance(e, Call):
-        du = _d(e.arg, coord)
         if e.func == "exp":
             inner = e
         elif e.func == "sech":
-            inner = Neg(Mul(e, Call("tanh", e.arg)))
+            inner = _neg(_mul(e, Call("tanh", e.arg)))
         elif e.func == "tanh":
-            inner = Sub(_ONE, Pow(Call("tanh", e.arg), 2))
+            inner = _sub(_ONE, _pow(Call("tanh", e.arg), 2))
         elif e.func == "gaussian":
-            inner = Neg(Mul(Mul(Const(2 + 0j), e.arg), e))
+            inner = _neg(_mul(_mul(Const(2 + 0j), e.arg), e))
         else:
             raise ExprError(f"unknown function {e.func!r}")
-        return Mul(inner, du)
+        return _mul(inner, dkids[0])
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -487,36 +702,21 @@ def differentiate(e: Expr, order: int = 1, coordinate: str = "z") -> Expr:
     if order < 0:
         raise ValueError("order must be nonnegative")
     out = simplify(e)
+    # a node's derivative is the same at every order: one memo serves them all
+    done = {}
     for _ in range(order):
-        out = simplify(_d(out, coordinate))
+        out = _map_distinct(out, lambda node, dkids: _derivative(node, dkids, coordinate),
+                            done)
     return out
 
 
 def substitute(e: Expr, coordinate: str, replacement: Expr) -> Expr:
     """Replace every occurrence of a variable by another expression."""
-    if isinstance(e, Var):
-        return replacement if e.name == coordinate else e
-    if isinstance(e, (Const,)):
-        return e
-    if isinstance(e, Add):
-        return Add(substitute(e.left, coordinate, replacement),
-                   substitute(e.right, coordinate, replacement))
-    if isinstance(e, Sub):
-        return Sub(substitute(e.left, coordinate, replacement),
-                   substitute(e.right, coordinate, replacement))
-    if isinstance(e, Mul):
-        return Mul(substitute(e.left, coordinate, replacement),
-                   substitute(e.right, coordinate, replacement))
-    if isinstance(e, Div):
-        return Div(substitute(e.left, coordinate, replacement),
-                   substitute(e.right, coordinate, replacement))
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, coordinate, replacement))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, coordinate, replacement), e.exponent)
-    if isinstance(e, Call):
-        return Call(e.func, substitute(e.arg, coordinate, replacement))
-    raise TypeError(f"not an expression: {e!r}")
+    def rule(node, kids):
+        if isinstance(node, Var) and node.name == coordinate:
+            return replacement
+        return node._rebuilt(kids)
+    return _map_distinct(e, rule)
 
 
 def scale_argument(e: Expr, factor: complex, coordinate: str = "z") -> Expr:

@@ -21,6 +21,7 @@ from . import hyper as hy
 from . import spectral as sp
 from .growth import GrowthClass
 from .hyper import Hyperfunction1D, TestFunction, TWO_PI_I
+from .odeseries import _is_exact
 from .quad import CompositeRule, ConvergenceError, DimensionError, integrate_box
 
 __all__ = [
@@ -38,10 +39,6 @@ def multi_indices(n: int, k: int):
     for first in range(k, -1, -1):
         for rest in multi_indices(n - 1, k - first):
             yield (first,) + rest
-
-
-def _is_exact(x):
-    return isinstance(x, (int, Fraction))
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,15 @@ def test_failed_check_exits_1(tmp_path):
     assert "diverges" in rec["diagnosis"]
 
 
+def test_convergence_error_exits_1(tmp_path, capsys):
+    # standardize's G needs more than its 1024-panel cap this near the axis
+    code, _ = run(["pair", "--label", "sech", "--standardize", "--eta", "0.03"],
+                  tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1024 panels" in err
+
+
 def test_config_file_merges_under_flags(tmp_path):
     cfgfile = tmp_path / "job.json"
     cfgfile.write_text(json.dumps({"label": "delta", "test": "gauss",

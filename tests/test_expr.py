@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -103,3 +107,112 @@ def test_multi_coordinate():
     e = ex.parse_expr("x1*x2 + x1^2")
     v = ex.evaluate(e, {"x1": 2.0, "x2": 3.0})
     assert abs(v - 10.0) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# interning and the plan evaluator
+
+
+def reference_eval(e, env, eps_pole=ex.EPS_POLE):
+    """Plain recursive tree walk: the reference `evaluate` must match bit for bit."""
+    if isinstance(e, ex.Const):
+        return e.value
+    if isinstance(e, ex.Var):
+        return env[e.name]
+    if isinstance(e, (ex.Add, ex.Sub, ex.Mul)):
+        a, b = reference_eval(e.left, env), reference_eval(e.right, env)
+        return a + b if isinstance(e, ex.Add) else a - b if isinstance(e, ex.Sub) else a * b
+    if isinstance(e, ex.Div):
+        den = reference_eval(e.right, env)
+        if np.min(np.abs(den)) < eps_pole:
+            raise ex.PoleError("denominator")
+        return reference_eval(e.left, env) / den
+    if isinstance(e, ex.Neg):
+        return -reference_eval(e.arg, env)
+    if isinstance(e, ex.Pow):
+        base = reference_eval(e.base, env)
+        if e.exponent < 0 and np.min(np.abs(base)) < eps_pole:
+            raise ex.PoleError("power")
+        return base ** e.exponent
+    u = reference_eval(e.arg, env)
+    return {"exp": np.exp, "sech": ex._sech, "tanh": np.tanh,
+            "gaussian": lambda v: np.exp(-(v * v))}[e.func](u)
+
+
+def _outcome(fn):
+    try:
+        v = fn()
+    except ex.PoleError:
+        return "pole"
+    return type(v), np.asarray(v).tobytes()
+
+
+def test_evaluate_matches_tree_walk_bit_for_bit():
+    points = [complex(RNG.uniform(-1, 1), RNG.uniform(0.2, 1.0)),
+              np.linspace(-2.0, 2.0, 33) + 0.3j, 0.0]
+    for _ in range(150):
+        e = ex.parse_expr(random_expr())
+        # derivatives share subexpressions, so their plans store and reload values
+        for tree in (e, ex.differentiate(e, 2)):
+            for z in points:
+                assert _outcome(lambda: ex.evaluate(tree, {"z": z})) == \
+                    _outcome(lambda: reference_eval(tree, {"z": z}))
+
+
+def test_structurally_equal_trees_are_one_node():
+    a = ex.parse_expr("sech(z)*exp(-(z*z)/8) + x1^2")
+    b = ex.parse_expr("sech( z ) * exp(-(z*z)/8) + x1^2")
+    assert a is b and a == b and hash(a) == hash(b)
+    assert ex.differentiate(a, 3) is ex.differentiate(b, 3)
+    assert ex.Mul(ex.Var("z"), ex.Const(2.0)) is ex.Mul(ex.Var("z"), ex.Const(2.0))
+    with pytest.raises(AttributeError):
+        a.left = ex._ONE
+
+
+def test_constants_keep_type_and_sign_of_zero():
+    assert ex.Const(0.5) is not ex.Const(0.5 + 0j)
+    assert ex.Const(0j) is not ex.Const(-0j)
+    assert ex.Const(complex(0.0, -0.0)) is not ex.Const(0j)
+    assert ex.Const(-0.0) is not ex.Const(0.0)
+    assert ex.Const(0.5) is ex.Const(0.5)
+    assert ex.Pow(ex.Var("z"), 2) is not ex.Pow(ex.Var("z"), 2.0)
+
+
+def test_intern_table_drops_unreachable_nodes():
+    gc.collect()
+    before = len(ex._NODES)
+    e = ex.parse_expr("z*987.654321 + 1")  # three nodes no other code holds
+    ref = weakref.ref(e)
+    assert len(ex._NODES) >= before + 3
+    ex.evaluate(e, 0.5)  # the cached plan must not keep the node alive
+    del e
+    gc.collect()
+    assert ref() is None
+    assert len(ex._NODES) <= before
+
+
+def test_concurrent_construction_yields_one_node():
+    # each thread builds the same fresh nodes in step with the others; a lost
+    # race in the intern table would give two threads two different nodes
+    workers, count = 8, 3000
+    z = ex.Var("z")
+    built = [None] * workers
+    start = threading.Barrier(workers)
+
+    def build(slot):
+        start.wait(timeout=60)
+        built[slot] = [ex.Add(z, ex.Const(k + 0.125)) for k in range(count)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for k in range(1, workers):
+        assert all(x is y for x, y in zip(built[k], built[0]))
