@@ -12,20 +12,22 @@ solutions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import expr as ex
 from .growth import GrowthClass, GrowthError
-from .quad import (CompositeRule, ContourSpec, ConvergenceError, DivergentTailError,
-                   adaptive_interval, auto_radius, tail_bound, verify_growth)
+# adaptive_interval and auto_radius stay importable from hyper for its callers
+from .quad import (CompositeRule, ContourSpec, adaptive_interval, auto_radius,  # noqa: F401
+                   integrate_line, refine, verify_growth)
 
 __all__ = [
     "Hyperfunction1D", "TestFunction", "LocalOperator", "AdmissibilityError",
     "embed_real_analytic", "delta_derivative", "pair", "scale_pair",
     "standardize", "apply_local_operator", "cauchy_hilbert_kernel",
+    "laurent_polynomial",
 ]
 
 TWO_PI_I = 2j * math.pi
@@ -202,13 +204,21 @@ def embed_real_analytic(e: ex.Expr, strip: float, growth: GrowthClass,
                            strip_minus=strip, growth=growth, label=label or ex.print_expr(e))
 
 
+def laurent_polynomial(coefficients, at: float = 0.0) -> ex.Expr:
+    """Simplified sum of c_n (z - at)^(-n) over ``coefficients`` = {n: c_n}."""
+    base = ex.Var("z") if at == 0 else ex.Sub(ex.Var("z"), ex.Const(complex(at)))
+    total = ex._ZERO
+    for n, c in coefficients.items():
+        total = ex.Add(total, ex.Div(ex.Const(complex(c)), ex.Pow(base, n)))
+    return ex.simplify(total)
+
+
 def delta_derivative(n: int = 0, at: float = 0.0) -> Hyperfunction1D:
     """delta^(n)(x - at) via F = (-1/2 pi i) (-1)^n n! / (z - at)^(n+1)."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     c = (-1.0 / TWO_PI_I) * (-1.0) ** n * math.factorial(n)
-    base = ex.Var("z") if at == 0 else ex.Sub(ex.Var("z"), ex.Const(complex(at)))
-    f = ex.Div(ex.Const(c), ex.Pow(base, n + 1))
+    f = laurent_polynomial({n + 1: c}, at)
     return Hyperfunction1D(
         f_plus=f, f_minus=f, strip_plus=math.inf, strip_minus=math.inf,
         growth=GrowthClass.tempered(-(n + 1), constant=math.factorial(n)),
@@ -265,26 +275,14 @@ def _pair_lines(f: Hyperfunction1D, phi: TestFunction, spec: ContourSpec):
         eta = strip_cap
     eta = min(eta, strip_cap)
 
-    def bracket(x):
-        zp = x + 1j * eta
-        zm = x - 1j * eta
-        return f.plus(zp) * phi(zp) - f.minus(zm) * phi(zm)
+    def bracket(z):
+        zm = z.conj()
+        return f.plus(z) * phi(z) - f.minus(zm) * phi(zm)
 
-    if spec.truncation_radius is not None:
-        radius = float(spec.truncation_radius)
-        growth, weight = _combined_tail(f, phi.growth)
-        tail = tail_bound(growth, weight, radius)
-    else:
-        growth, weight = _combined_tail(f, phi.growth)
-        radius = auto_radius(growth, spec.abs_tol, weight)
-        tail = tail_bound(growth, weight, radius)
-    max_panel = math.pi / spec.osc_freq if spec.osc_freq > 0 else None
-    from .quad import _geometric_breakpoints
-
-    value, err, _ = adaptive_interval(
-        bracket, -radius, radius, spec.abs_tol, spec.max_subdivisions,
-        breakpoints=_geometric_breakpoints(radius), max_panel=max_panel)
-    return complex(value), err + tail
+    growth, weight = _combined_tail(f, phi.growth)
+    res = integrate_line(bracket, replace(spec, imag_offset=eta, growth=growth,
+                                          weight_exponent=weight))
+    return complex(res.value), res.error_estimate + res.tail_bound
 
 
 def _pair_circle(f: Hyperfunction1D, phi, radius: float, abs_tol: float,
@@ -292,36 +290,27 @@ def _pair_circle(f: Hyperfunction1D, phi, radius: float, abs_tol: float,
     """-closed circle integral around the singular point (trapezoid rule),
     doubling from 64 nodes; raises ``ConvergenceError`` past ``max_nodes``."""
     x0 = f.point_support
-    prev = None
-    n = 64
-    while n <= max_nodes:
+    psi = phi.expr if isinstance(phi, TestFunction) else phi
+
+    def evaluate(n):
         theta = 2.0 * math.pi * np.arange(n) / n
         z = x0 + radius * np.exp(1j * theta)
-        vals = _eval_branch(f.f_plus, z) * _eval_branch(
-            phi.expr if isinstance(phi, TestFunction) else phi, z)
-        integral = (2j * math.pi / n) * np.sum(vals * (z - x0))
-        cur = -complex(integral)
-        if prev is not None and abs(cur - prev) <= abs_tol:
-            return cur, abs(cur - prev)
-        prev = cur
-        n *= 2
-    raise ConvergenceError(
-        f"circle pairing did not reach abs_tol={abs_tol:g} within {max_nodes} nodes")
+        vals = _eval_branch(f.f_plus, z) * _eval_branch(psi, z)
+        return -complex((2j * math.pi / n) * np.sum(vals * (z - x0)))
+
+    value, err, _ = refine(evaluate, 64, max_nodes, abs_tol, "circle pairing", "nodes")
+    return value, err
 
 
 def pair(f: Hyperfunction1D, phi: TestFunction, spec: Optional[ContourSpec] = None,
          force_lines: bool = False) -> complex:
     """Duality pairing <f, phi>; see the module docstring for the convention."""
-    spec = spec or ContourSpec(imag_offset=0.0, abs_tol=1e-10)
-    if f.is_delta_like and not force_lines:
-        radius = 0.45 * min(phi.strip_halfwidth, 1.0)
-        value, _ = _pair_circle(f, phi, radius, spec.abs_tol)
-        return value
-    value, _ = _pair_lines(f, phi, spec)
-    return value
+    return pair_with_error(f, phi, spec, force_lines)[0]
 
 
 def pair_with_error(f, phi, spec=None, force_lines=False):
+    """(<f, phi>, error bound): the circle route for delta-like f unless
+    ``force_lines``, else the two-line route."""
     spec = spec or ContourSpec(imag_offset=0.0, abs_tol=1e-10)
     if f.is_delta_like and not force_lines:
         radius = 0.45 * min(phi.strip_halfwidth, 1.0)
@@ -377,13 +366,8 @@ def standardize(f: Hyperfunction1D, grid=None, abs_tol: float = 1e-9) -> Hyperfu
             return out if np.ndim(z) else out[0]
         eta = 0.5 * min(np.min(np.abs(zs.imag)), f.strip_plus, f.strip_minus)
         radius = float(np.max(np.abs(zs.real))) + 9.0
-        panels = 16
-        prev = None
-        while True:
-            if panels > 1024:
-                raise ConvergenceError(
-                    f"standardized G needs more than 1024 panels at "
-                    f"min |Im z| = {np.min(np.abs(zs.imag)):g}")
+
+        def evaluate(panels):
             rule = CompositeRule(-radius, radius, panels, 16)
             wp = rule.points + 1j * eta
             wm = rule.points - 1j * eta
@@ -391,11 +375,10 @@ def standardize(f: Hyperfunction1D, grid=None, abs_tol: float = 1e-9) -> Hyperfu
             fm = np.broadcast_to(_eval_branch(f.f_minus, wm), wm.shape)
             hp = _std_kernel(zs[:, None] - wp[None, :])
             hm = _std_kernel(zs[:, None] - wm[None, :])
-            out = (hp * fp[None, :] - hm * fm[None, :]) @ rule.weights
-            if prev is not None and np.max(np.abs(out - prev)) <= abs_tol:
-                return out if np.ndim(z) else out[0]
-            prev = out
-            panels *= 2
+            return (hp * fp[None, :] - hm * fm[None, :]) @ rule.weights
+
+        out, _, _ = refine(evaluate, 16, 1024, abs_tol, "standardized G")
+        return out if np.ndim(z) else out[0]
 
     return Hyperfunction1D(f_plus=G, f_minus=G, strip_plus=strip, strip_minus=strip,
                            growth=f.growth, label=f"std({f.label})",

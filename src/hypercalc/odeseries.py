@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from . import expr as ex
 from .growth import GrowthClass
-from .hyper import Hyperfunction1D, TestFunction, pair
+from .hyper import Hyperfunction1D, TestFunction, laurent_polynomial, pair
 
 __all__ = [
     "PolyCoeffOperator", "FormalLaurentTail", "apply_operator", "solve_series",
@@ -305,13 +305,7 @@ def assemble(tail: FormalLaurentTail, admissible: bool = True,
                                growth=GrowthClass.tempered(0.0),
                                label=label)
     # truncated Laurent polynomial
-    z = ex.Var("z")
-    gt = ex._ZERO
-    for n, g in sorted(tail.coefficients.items()):
-        mono = ex.Const(complex(g)) if n == 0 else \
-            ex.Div(ex.Const(complex(g)), z if n == 1 else ex.Pow(z, n))
-        gt = ex.Add(gt, mono)
-    gt = ex.simplify(gt)
+    gt = laurent_polynomial(dict(sorted(tail.coefficients.items())))
     lbl = label + (" [formal-only]" if not admissible else " [truncated]")
     if tail.parity == "delta":
         pref = -1.0 / (2.0j * math.pi)

@@ -8,14 +8,17 @@ Exponential sums over a composite Gauss-Legendre rule factor each node
 m_p + h x_k into its panel midpoint and offset, and the equally spaced
 midpoints into a coarse and a fine step, so they take about 2 sqrt(panels)
 complex exps per point and three matrix products instead of one exp per
-(point, node).
+(point, node).  ``refine`` is the one refinement driver: every fixed-rule
+quadrature in the package (composite panels, box rules, the circle's
+trapezoid rule) doubles its resolution through it until two passes agree,
+or raises ``ConvergenceError`` at its cap.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,9 +27,9 @@ from scipy.special import gammaincc, gamma as gamma_fn
 from .growth import GrowthClass
 
 __all__ = [
-    "ContourSpec", "QuadResult", "CompositeRule", "integrate_line", "integrate_box",
-    "tail_bound", "verify_growth", "ConvergenceError", "DivergentTailError",
-    "DimensionError",
+    "ContourSpec", "QuadResult", "CompositeRule", "refine", "integrate_line",
+    "integrate_box", "tail_bound", "verify_growth", "ConvergenceError",
+    "DivergentTailError", "DimensionError",
 ]
 
 
@@ -50,7 +53,6 @@ class ContourSpec:
     truncation_radius: Optional[float] = None  # None = auto from growth
     abs_tol: float = 1e-9
     max_subdivisions: int = 4000
-    osc_freq: float = 0.0  # |xi| of a factor exp(-i z xi), if any
     growth: Optional[GrowthClass] = None  # declared decay of the integrand
     weight_exponent: float = 0.0  # extra polynomial weight |x|^w in the tail
 
@@ -137,6 +139,28 @@ class CompositeRule:
             by_step = (inner @ e_fine[:, :, None]).reshape(len(ct), rows, coarse)
             out[start:start + step] = (by_step @ e_coarse[:, :, None])[:, :, 0]
         return out.T.reshape(amps.shape[:-1] + t.shape)
+
+
+def refine(evaluate: Callable, start: int, cap: int, abs_tol: float, what: str,
+           unit: str = "panels"):
+    """Call ``evaluate(n)`` for n = start, 2 start, ... while n <= cap.
+
+    At the first n whose result agrees with the previous one within
+    ``abs_tol`` in max norm, return ``(value, err, n)`` with the finer result.
+    Otherwise raise ``ConvergenceError``; ``evaluate`` never sees n > cap.
+    """
+    prev = None
+    n = start
+    while n <= cap:
+        cur = evaluate(n)
+        if prev is not None:
+            err = float(np.max(np.abs(cur - prev)))
+            if err <= abs_tol:
+                return cur, err, n
+        prev = cur
+        n *= 2
+    raise ConvergenceError(
+        f"{what} did not reach abs_tol={abs_tol:g} within {cap} {unit}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +285,9 @@ def integrate_line(integrand: Callable, spec: ContourSpec) -> QuadResult:
     def g(x):
         return integrand(x + 1j * eta)
 
-    max_panel = math.pi / spec.osc_freq if spec.osc_freq > 0 else None
-    if max_panel is not None and radius / max_panel > 5e4:
-        raise ConvergenceError("oscillation too fast for the requested radius")
     value, err, nodes = adaptive_interval(
         g, -radius, radius, spec.abs_tol, spec.max_subdivisions,
-        breakpoints=_geometric_breakpoints(radius), max_panel=max_panel)
+        breakpoints=_geometric_breakpoints(radius))
     return QuadResult(value, err, tail, nodes)
 
 
@@ -291,10 +312,10 @@ def integrate_box(integrand: Callable, box, abs_tol: float = 1e-9,
     n = len(axes)
     if n < 1 or n > 3:
         raise DimensionError(f"box dimension {n} not supported (1 <= n <= 3)")
-    prev = None
-    m = 16
     nodes_used = 0
-    while m <= max_points:
+
+    def evaluate(m):
+        nonlocal nodes_used
         rules = [CompositeRule(lo, hi, 1, m) for lo, hi in axes]
         mesh = np.meshgrid(*[r.points for r in rules], indexing="ij")
         pts = np.stack([mm.ravel() for mm in mesh], axis=-1)
@@ -304,14 +325,11 @@ def integrate_box(integrand: Callable, box, abs_tol: float = 1e-9,
             weights = weights * wm.ravel()
         vals = np.asarray(integrand(pts))
         nodes_used += pts.shape[0]
-        cur = np.sum(weights * vals)
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= abs_tol:
-                return QuadResult(complex(cur), float(err), 0.0, nodes_used)
-        prev = cur
-        m *= 2
-    raise ConvergenceError(f"box rule did not converge to abs_tol={abs_tol:g}")
+        return np.sum(weights * vals)
+
+    value, err, _ = refine(evaluate, 16, max_points, abs_tol, "box rule",
+                           "points per axis")
+    return QuadResult(complex(value), err, 0.0, nodes_used)
 
 
 # ---------------------------------------------------------------------------

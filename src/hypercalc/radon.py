@@ -20,9 +20,9 @@ from . import expr as ex
 from . import hyper as hy
 from . import spectral as sp
 from .growth import GrowthClass
-from .hyper import Hyperfunction1D, TestFunction, TWO_PI_I
+from .hyper import Hyperfunction1D, TWO_PI_I
 from .odeseries import _is_exact
-from .quad import CompositeRule, ConvergenceError, DimensionError, integrate_box
+from .quad import CompositeRule, DimensionError, integrate_box, refine
 
 __all__ = [
     "SmoothRapid", "PointSource", "DeltaCombo", "RadonSlice", "HomogeneousPoly",
@@ -165,6 +165,23 @@ def _tensor_grid(radius: float, n: int, panels: int, deg: int = 8):
     return pts, w
 
 
+def _projected_terms(f: DeltaCombo, omega):
+    """(a.omega, |alpha|, weight b_alpha omega^alpha) for every term of every
+    source: J(D) delta(x - a) projects to b omega^alpha delta^(|alpha|)(t - a.omega)."""
+    for src in f.sources:
+        adot = sum(float(p) * o for p, o in zip(src.point, omega))
+        for alpha, b in src.coefficients.items():
+            c = complex(src.weight) * complex(b)
+            for a, o in zip(alpha, omega):
+                c *= o ** a
+            yield adot, sum(alpha), c
+
+
+def _trans_panels(u_panels, start):
+    """Transverse panels: 12 at the start level, doubling with the u-panels up to 48."""
+    return min(48, 12 * u_panels // start)
+
+
 def _projection(f, omega, frame, u_axis, trans_panels):
     """p(u) = integral of f over the hyperplane omega.x = u."""
     n = f.dimension
@@ -186,23 +203,16 @@ def _projection(f, omega, frame, u_axis, trans_panels):
 
 def _delta_combo_slice(f: DeltaCombo, omega) -> Hyperfunction1D:
     """J(omega D_t) delta(t - a.omega) summed over sources, symbolically."""
-    total = ex._ZERO
-    supports = set()
-    for src in f.sources:
-        t0 = sum(float(p) * o for p, o in zip(src.point, omega))
-        supports.add(round(t0, 12))
-        for alpha, b in src.coefficients.items():
-            m = sum(alpha)
-            c = complex(src.weight) * complex(b)
-            for a, o in zip(alpha, omega):
-                c *= o ** a
-            amp = c * (-1.0 / TWO_PI_I) * (-1.0) ** m * math.factorial(m)
-            base = ex.Var("z") if t0 == 0 else ex.Sub(ex.Var("z"), ex.Const(complex(t0)))
-            total = ex.Add(total, ex.Div(ex.Const(complex(amp)), ex.Pow(base, m + 1)))
+    coeffs, supports, at = {}, set(), 0.0
+    for adot, m, c in _projected_terms(f, omega):
+        supports.add(round(adot, 12))
+        at = adot
+        amp = c * (-1.0 / TWO_PI_I) * (-1.0) ** m * math.factorial(m)
+        coeffs[m + 1] = coeffs.get(m + 1, 0) + amp
     if len(supports) > 1:
         raise NotImplementedError(
             "sources with distinct projected supports need one slice per point")
-    total = ex.simplify(total)
+    total = hy.laurent_polynomial(coeffs, at)
     return Hyperfunction1D(
         f_plus=total, f_minus=total, strip_plus=math.inf, strip_minus=math.inf,
         growth=GrowthClass.tempered(-1.0), point_support=supports.pop(),
@@ -219,43 +229,35 @@ def radon_transform(f: MultiDimFunction, omega, abs_tol: float = 1e-9) -> RadonS
     n = f.dimension
     frame = _orthonormal_frame(omega)
     extent = f.radius * math.sqrt(n)
-    state = {"u_panels": 16, "trans_panels": 12, "cache": {}}
+    # u-panels of the last converged level; it is trusted for contours at
+    # least as far from the axis as ``eta_ok``, and warm-starts the others
+    state = {"u_panels": 16, "eta_ok": None, "cache": {}}
 
-    def weighted_projection(u_panels, trans_panels):
-        key = (u_panels, trans_panels)
-        if key not in state["cache"]:
+    def weighted_projection(u_panels):
+        if u_panels not in state["cache"]:
             rule = CompositeRule(-extent, extent, u_panels, 8)
-            pv = _projection(f, omega, frame, rule.points, trans_panels) * rule.weights
-            state["cache"][key] = (rule.points, pv)
-        return state["cache"][key]
+            pv = _projection(f, omega, frame, rule.points,
+                             _trans_panels(u_panels, 16)) * rule.weights
+            state["cache"][u_panels] = (rule.points, pv)
+        return state["cache"][u_panels]
 
     def G(tau):
         taus = np.atleast_1d(np.asarray(tau, dtype=complex))
         eta = float(np.min(np.abs(taus.imag)))
         if eta <= 0:
             raise ValueError("defining function evaluated on the real axis")
-        up, tp = state["u_panels"], state["trans_panels"]
-        # once a resolution has converged it is trusted for contours at
-        # least as far from the axis
-        if state.get("eta_ok") is not None and eta >= state["eta_ok"]:
-            u_axis, pv = weighted_projection(up, tp)
-            cur = (-1.0 / TWO_PI_I) * \
+
+        def evaluate(u_panels):
+            u_axis, pv = weighted_projection(u_panels)
+            return (-1.0 / TWO_PI_I) * \
                 (pv[None, :] / (taus[:, None] - u_axis[None, :])).sum(axis=1)
-            return cur if np.ndim(tau) else cur[0]
-        prev = None
-        while True:
-            u_axis, pv = weighted_projection(up, tp)
-            cur = (-1.0 / TWO_PI_I) * \
-                (pv[None, :] / (taus[:, None] - u_axis[None, :])).sum(axis=1)
-            if prev is not None and np.max(np.abs(cur - prev)) <= abs_tol:
-                state["u_panels"], state["trans_panels"] = up, tp
-                state["eta_ok"] = min(eta, state.get("eta_ok") or math.inf)
-                break
-            if up >= 2048:
-                break
-            prev = cur
-            up *= 2
-            tp = min(48, tp * 2)
+
+        if state["eta_ok"] is not None and eta >= state["eta_ok"]:
+            cur = evaluate(state["u_panels"])
+        else:
+            cur, _, state["u_panels"] = refine(evaluate, state["u_panels"], 2048,
+                                               abs_tol, "Radon slice G", "u-panels")
+            state["eta_ok"] = min(eta, state["eta_ok"] or math.inf)
         return cur if np.ndim(tau) else cur[0]
 
     slice_hyper = Hyperfunction1D(
@@ -274,14 +276,8 @@ def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
                 raise NotImplementedError("ray fields expose only order 0")
             rho = np.asarray(rho, dtype=float)
             total = np.zeros(np.shape(rho), dtype=complex)
-            for src in f.sources:
-                adot = sum(float(p) * o for p, o in zip(src.point, omega))
-                phase = np.exp(-1j * rho * adot)
-                for alpha, b in src.coefficients.items():
-                    c = complex(src.weight) * complex(b)
-                    for a, o in zip(alpha, omega):
-                        c *= o ** a
-                    total = total + c * (1j * rho) ** sum(alpha) * phase
+            for adot, m, c in _projected_terms(f, omega):
+                total = total + c * (1j * rho) ** m * np.exp(-1j * rho * adot)
             return total
 
         return sp.SmoothField(hat, growth=GrowthClass.infra_exponential(),
@@ -294,22 +290,16 @@ def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
     def table(rhos):
         rhos = np.asarray(rhos, dtype=float)
         peak = max(1.0, float(np.max(np.abs(rhos))))
-        u_panels = max(12, int(1.2 * extent * peak / math.pi) + 1)
-        trans_panels = 12
-        prev = None
-        while True:
-            if u_panels > 4096:
-                raise ConvergenceError(
-                    f"Fourier ray table needs more than 4096 u-panels "
-                    f"(|rho| up to {peak:g})")
+        start = max(12, int(1.2 * extent * peak / math.pi) + 1)
+
+        def evaluate(u_panels):
             rule = CompositeRule(-extent, extent, u_panels, 8)
-            pv = _projection(f, omega, frame, rule.points, trans_panels) * rule.weights
-            out = rule.exp_sum(rhos, pv, -1j)
-            if prev is not None and np.max(np.abs(out - prev)) <= 1e-10:
-                return out
-            prev = out
-            u_panels *= 2
-            trans_panels = min(48, trans_panels * 2)
+            pv = _projection(f, omega, frame, rule.points,
+                             _trans_panels(u_panels, start)) * rule.weights
+            return rule.exp_sum(rhos, pv, -1j)
+
+        return refine(evaluate, start, 4096, 1e-10,
+                      f"Fourier ray table (|rho| up to {peak:g})", "u-panels")[0]
 
     def hat(rho, order=0):
         if order != 0:
@@ -398,18 +388,12 @@ def slice_moment(f: MultiDimFunction, omega, k: int):
 
 def _slice_moment_delta(f: DeltaCombo, omega, k: int) -> complex:
     total = 0j
-    for src in f.sources:
-        adot = sum(float(p) * o for p, o in zip(src.point, omega))
-        for alpha, b in src.coefficients.items():
-            m = sum(alpha)
-            if m > k:
-                continue
-            c = complex(src.weight) * complex(b)
-            for a, o in zip(alpha, omega):
-                c *= o ** a
-            # mu^k(delta^(m)(. - c)) = (-1)^m k!/(k-m)! c^(k-m)
-            total += c * (-1.0) ** m * math.factorial(k) / math.factorial(k - m) \
-                * adot ** (k - m)
+    for adot, m, c in _projected_terms(f, omega):
+        if m > k:
+            continue
+        # mu^k(delta^(m)(. - c)) = (-1)^m k!/(k-m)! c^(k-m)
+        total += c * (-1.0) ** m * math.factorial(k) / math.factorial(k - m) \
+            * adot ** (k - m)
     return total
 
 
@@ -478,15 +462,9 @@ def defining_function_value(f: MultiDimFunction, omega, tau: complex) -> complex
     omega = _check_unit(omega)
     if isinstance(f, DeltaCombo):
         total = 0j
-        for src in f.sources:
-            adot = sum(float(p) * o for p, o in zip(src.point, omega))
-            for alpha, b in src.coefficients.items():
-                m = sum(alpha)
-                c = complex(src.weight) * complex(b)
-                for a, o in zip(alpha, omega):
-                    c *= o ** a
-                total += c * (-1.0 / TWO_PI_I) * (-1.0) ** m * math.factorial(m) \
-                    / (tau - adot) ** (m + 1)
+        for adot, m, c in _projected_terms(f, omega):
+            total += c * (-1.0 / TWO_PI_I) * (-1.0) ** m * math.factorial(m) \
+                / (tau - adot) ** (m + 1)
         return total
     sl = radon_transform(f, omega)
     return complex(np.asarray(sl.hyper.plus(np.array([tau]))[0]))

@@ -12,7 +12,7 @@ Gauss-Legendre grids with the factored kernel ``quad.CompositeRule.exp_sum``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from . import hyper as hy
 from .growth import GrowthClass
 from .hyper import (AdmissibilityError, ContourSpec, Hyperfunction1D,
                     TestFunction, LocalOperator, TWO_PI_I)
-from .quad import (CompositeRule, ConvergenceError, adaptive_interval,
+from .quad import (CompositeRule, adaptive_interval, refine,
                    auto_radius as quad_auto_radius)
 
 __all__ = [
@@ -102,14 +102,9 @@ class AsymptoticSum:
 
     def realize(self) -> Hyperfunction1D:
         """The delta-combination as one delta-like hyperfunction at 0."""
-        total = ex._ZERO
-        for n, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            amp = c * (-1.0 / TWO_PI_I) * (-1.0) ** n * math.factorial(n)
-            total = ex.Add(total, ex.Div(ex.Const(complex(amp)),
-                                         ex.Pow(ex.Var("z"), n + 1)))
-        total = ex.simplify(total)
+        total = hy.laurent_polynomial(
+            {n + 1: c * (-1.0 / TWO_PI_I) * (-1.0) ** n * math.factorial(n)
+             for n, c in enumerate(self.coefficients) if c != 0})
         return Hyperfunction1D(
             f_plus=total, f_minus=total, strip_plus=math.inf, strip_minus=math.inf,
             growth=GrowthClass.tempered(-1.0), point_support=0.0,
@@ -241,16 +236,11 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
         xis = np.asarray(xis, dtype=float)
         xi_peak = max(1.0, float(np.max(np.abs(xis))))
         radius = radius_for(0)
-        panels = max(64, int(radius * xi_peak / math.pi) + 1)
         flat = xis.ravel()
         groups = ([(flat > 0, -eta, -eta), (flat <= 0, eta, eta)]
                   if one_sided else [(np.ones(flat.shape, bool), eta, -eta)])
-        prev = None
-        while True:
-            if panels > (1 << 16):
-                raise ConvergenceError(
-                    f"Fourier table needs more than {1 << 16} panels "
-                    f"(|xi| up to {xi_peak:g})")
+
+        def evaluate(panels):
             rule = CompositeRule(-radius, radius, panels, 8)
             x = rule.points
             res = np.empty(flat.shape, dtype=complex)
@@ -268,11 +258,11 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
                     shifts.append(s_m)
                 sums = rule.exp_sum(sub, np.array(amps), -1j)
                 res[mask] = sum(np.exp(sub * s) * row for s, row in zip(shifts, sums))
-            out = res.reshape(xis.shape)
-            if prev is not None and np.max(np.abs(out - prev)) <= 1e-10:
-                return out
-            prev = out
-            panels *= 2
+            return res.reshape(xis.shape)
+
+        start = max(64, int(radius * xi_peak / math.pi) + 1)
+        return refine(evaluate, start, 1 << 16, 1e-10,
+                      f"Fourier table (|xi| up to {xi_peak:g})")[0]
 
     scale = abs(complex(np.asarray(hat(0.0)))) + 1.0
     growth = (GrowthClass.exp_decay(eta, constant=10.0 * scale) if one_sided
@@ -313,20 +303,15 @@ def inverse_fourier(g: SmoothField, label: str = "", abs_tol: float = 1e-10,
             X = xi_cutoff(eta)
             xmax = float(np.max(np.abs(zs.real)))
             lo, hi = (0.0, X) if sign > 0 else (-X, 0.0)
-            panels = max(8, int(xmax * X / math.pi) + 1)
-            prev = None
-            while True:
-                if panels * 16 > (1 << 18):
-                    raise ConvergenceError(
-                        f"inverse Fourier branch did not reach abs_tol={abs_tol:g} "
-                        f"within {1 << 18} nodes")
+
+            def evaluate(panels):
                 rule = CompositeRule(lo, hi, panels, 16)
                 gv = np.asarray(gg(rule.points, 0))
-                cur = sign / (2.0 * math.pi) * rule.exp_sum(zs, gv * rule.weights, 1j)
-                if prev is not None and np.max(np.abs(cur - prev)) <= abs_tol:
-                    return cur if np.ndim(z) else cur[0]
-                prev = cur
-                panels *= 2
+                return sign / (2.0 * math.pi) * rule.exp_sum(zs, gv * rule.weights, 1j)
+
+            cur = refine(evaluate, max(8, int(xmax * X / math.pi) + 1), 1 << 14,
+                         abs_tol, "inverse Fourier branch")[0]
+            return cur if np.ndim(z) else cur[0]
 
         return F
 

@@ -29,6 +29,13 @@ def test_shifted_delta():
     assert abs(hy.pair(f, phi) - math.exp(-0.49)) < 1e-12
 
 
+def test_laurent_polynomial_terms():
+    e = hy.laurent_polynomial({0: 2.0, 1: 3.0, 2: -1.0j, 4: 0.0}, at=0.5)
+    z = np.array([1.5 + 0.25j, -0.3 + 2.0j])
+    want = 2.0 + 3.0 / (z - 0.5) - 1.0j / (z - 0.5) ** 2
+    assert np.max(np.abs(ex.evaluate(e, {"z": z}) - want)) <= 1e-14
+
+
 def test_embed_pairs_like_quadrature():
     f = cp.default_corpus()["sech"]
     phi = SUITE[0]

@@ -5,9 +5,10 @@ import pytest
 
 import hypercalc.expr as ex
 from hypercalc.growth import GrowthClass
-from hypercalc.quad import (ContourSpec, DimensionError, DivergentTailError,
-                            adaptive_interval, auto_radius, integrate_box,
-                            integrate_line, tail_bound, verify_growth)
+from hypercalc.quad import (ContourSpec, ConvergenceError, DimensionError,
+                            DivergentTailError, adaptive_interval, auto_radius,
+                            integrate_box, integrate_line, refine, tail_bound,
+                            verify_growth)
 
 
 def test_adaptive_interval_gaussian():
@@ -69,6 +70,47 @@ def test_integrate_box_dimension_cap():
     with pytest.raises(DimensionError):
         integrate_box(lambda pts: pts[:, 0] * 0 + 1.0, [1.0] * 4,
                       abs_tol=1e-6)
+
+
+def test_integrate_box_raises_at_point_cap():
+    calls = []
+
+    def rough(pts):
+        calls.append(len(pts))
+        return np.abs(pts[:, 0]) ** 0.5  # derivative singular at 0
+
+    with pytest.raises(ConvergenceError, match="within 64 points per axis"):
+        integrate_box(rough, [1.0], abs_tol=1e-14, max_points=64)
+    assert calls == [16, 32, 64]
+
+
+def test_refine_returns_first_agreement():
+    seen = []
+
+    def evaluate(n):
+        seen.append(n)
+        return np.array([1.0 / n, 2.0])
+
+    value, err, n = refine(evaluate, 4, 1024, 0.07, "test sum")
+    assert seen == [4, 8, 16] and n == 16
+    assert np.array_equal(value, [1.0 / 16, 2.0]) and err == 1.0 / 16
+
+
+def test_refine_never_evaluates_past_cap():
+    seen = []
+
+    def evaluate(n):
+        seen.append(n)
+        return complex(n)
+
+    with pytest.raises(ConvergenceError) as exc:
+        refine(evaluate, 3, 48, 1e-3, "diverging sum", "nodes")
+    assert seen == [3, 6, 12, 24, 48]
+    assert str(exc.value) == "diverging sum did not reach abs_tol=0.001 within 48 nodes"
+    seen.clear()
+    with pytest.raises(ConvergenceError, match="within 16 panels"):
+        refine(evaluate, 32, 16, 1e-3, "short ladder")
+    assert seen == []
 
 
 def test_verify_growth_rejects_wrong_claim():

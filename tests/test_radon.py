@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import hypercalc.corpus as cp
+import hypercalc.expr as ex
 import hypercalc.hyper as hy
 import hypercalc.radon as rd
+from hypercalc.quad import ConvergenceError
 
 MD = cp.multidim_corpus()
 SUITE = cp.test_suite()
@@ -145,3 +147,26 @@ def test_multidim_moment_exact_for_point_source():
 def test_radon_slice_direction_validation():
     with pytest.raises(ValueError):
         rd.radon_transform(MD["gauss2"], np.array([0.5, 0.5]))
+
+
+def test_slice_G_raises_past_u_panel_cap():
+    sl = rd.radon_transform(MD["gauss2"], (1.0, 0.0), abs_tol=1e-30)
+    with pytest.raises(ConvergenceError, match="within 2048 u-panels"):
+        sl.hyper.f_plus(np.array([0.3 + 0.5j]))
+
+
+def test_projected_delta_terms_agree_across_routes():
+    f, omega, k = MD["point_J"], (0.6, 0.8), 3
+    terms = list(rd._projected_terms(f, omega))
+    assert [m for _, m, _ in terms] == [0, 1, 2]
+    # the ray of b omega^alpha delta^(m)(t - a.omega) is b omega^alpha (i rho)^m e^(-i rho a.omega)
+    rho = np.array([0.0, 0.7, -2.5])
+    want = sum(c * (1j * rho) ** m * np.exp(-1j * rho * adot) for adot, m, c in terms)
+    got = rd.multidim_fourier_ray(f, omega)(rho)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    slice_h = rd.radon_transform(f, omega).hyper
+    tau = 0.2 + 0.3j
+    assert abs(slice_h.plus(tau) - rd.defining_function_value(f, omega, tau)) <= 1e-12
+    moment = hy.pair(slice_h, hy.TestFunction(ex.Pow(ex.Var("z"), k),
+                                               strip_halfwidth=math.inf))
+    assert abs(moment - rd.slice_moment(f, omega, k)) <= 1e-9
