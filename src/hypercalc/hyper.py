@@ -20,8 +20,9 @@ import numpy as np
 from . import expr as ex
 from .growth import GrowthClass, GrowthError
 # adaptive_interval and auto_radius stay importable from hyper for its callers
-from .quad import (CompositeRule, ContourSpec, adaptive_interval, auto_radius,  # noqa: F401
-                   integrate_line, refine, verify_growth)
+from .quad import (CompositeRule, ContourSpec, ConvergenceError,  # noqa: F401
+                   adaptive_interval, auto_radius, integrate_line, refine,
+                   verify_growth)
 
 __all__ = [
     "Hyperfunction1D", "TestFunction", "LocalOperator", "AdmissibilityError",
@@ -31,6 +32,8 @@ __all__ = [
 ]
 
 TWO_PI_I = 2j * math.pi
+_EPS = float(np.finfo(float).eps)
+_TAIL_TERMS = 1000  # cap on the terms of an infinite-order symbol
 
 
 class AdmissibilityError(Exception):
@@ -140,13 +143,39 @@ class LocalOperator:
         return None if self.tail is not None else len(self.coefficients) - 1
 
     def symbol(self, zeta):
-        """J evaluated on the Fourier side: sum_n b_n (i zeta)^n."""
+        """J evaluated on the Fourier side: sum_n b_n (i zeta)^n.
+
+        A tail is summed after the stored coefficients until a nonzero term
+        falls below rounding relative to the partial sum; a sum that
+        overflows or runs past ``_TAIL_TERMS`` raises ``ConvergenceError``.
+        Each term is the last nonzero one times (i zeta)^gap b_n / b_last, so
+        no power (i zeta)^n is formed: |zeta| reaches about 550 on the
+        inverse transform's grid, where (i zeta)^n overflows past n = 112
+        while b_n (i zeta)^n is small.
+        """
         if self.symbol_fn is not None:
             return self.symbol_fn(zeta)
+        w = 1j * np.asarray(zeta)
         acc = 0.0
         for n in reversed(range(len(self.coefficients))):
-            acc = acc * (1j * np.asarray(zeta)) + self.coefficient(n)
-        return acc
+            acc = acc * w + self.coefficient(n)
+        if self.tail is None:
+            return acc
+        term, b_last, step = 1.0, 1.0, w ** len(self.coefficients)
+        for n in range(len(self.coefficients), _TAIL_TERMS):
+            b = self.coefficient(n)
+            if b != 0:
+                term = term * step * (b / b_last)
+                acc = acc + term
+                b_last, step = b, 1.0
+                if not np.all(np.isfinite(acc)):
+                    break
+                if np.all(np.abs(term) <= _EPS * np.abs(acc)):
+                    return acc
+            step = step * w
+        raise ConvergenceError(
+            f"symbol of {self.label or 'J'}: tail terms still above rounding "
+            f"or overflowing at n = {n}")
 
     def root_sequence(self, up_to: int = 40):
         seq = []

@@ -1,9 +1,8 @@
 """Adaptive quadrature along horizontal contour lines and over boxes in R^n.
 
 The line integrator is an adaptive bisection scheme with an embedded
-Gauss-Legendre pair (10/21 points) per panel; panels of oscillatory
-integrands are pre-split to resolve the oscillation wavelength.  Truncation
-tails are certified from the declared growth class of the integrand.
+Gauss-Legendre pair (10/21 points) per panel.  Truncation tails are
+certified from the declared growth class of the integrand.
 Exponential sums over a composite Gauss-Legendre rule factor each node
 m_p + h x_k into its panel midpoint and offset, and the equally spaced
 midpoints into a coarse and a fine step, so they take about 2 sqrt(panels)
@@ -182,15 +181,9 @@ def _panel(f, a, b):
 
 
 def adaptive_interval(f, a, b, abs_tol, max_subdivisions=4000,
-                      breakpoints: Sequence[float] = (), max_panel=None):
+                      breakpoints: Sequence[float] = ()):
     """Adaptive bisection of a vectorized integrand over [a, b]."""
     pts = sorted({float(a), float(b), *[p for p in breakpoints if a < p < b]})
-    if max_panel is not None and max_panel > 0:
-        refined = []
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            k = max(1, int(math.ceil((hi - lo) / max_panel)))
-            refined.extend(lo + (hi - lo) * j / k for j in range(k))
-        pts = refined + [pts[-1]]
     heap = []
     total = 0.0 + 0.0j
     total_err = 0.0

@@ -3,10 +3,12 @@
 The Fourier transform of an asymptotic hyperfunction is an infra-exponential
 smooth function, computed here by contour pairing against e^(-i z xi), or in
 closed form from the Laurent coefficients when the input is delta-like.
-Derivatives of transforms are obtained by inserting (-i z)^k into the
-integrand, never by differencing.  Batched transforms, inverse branches and
-the structural f0 evaluate their exp(+-i t x) sums over composite
-Gauss-Legendre grids with the factored kernel ``quad.CompositeRule.exp_sum``.
+Transforms and their derivatives come from one batched composite-rule
+evaluator: a scalar xi is a batch of one, and derivative order k inserts
+(-i z)^k into the integrand, never differencing.  Transforms, inverse
+branches and the structural f0 evaluate their exp(+-i t x) sums over
+composite Gauss-Legendre grids with the factored kernel
+``quad.CompositeRule.exp_sum``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class SmoothField:
     derivative_order_cap: int = 8
     label: str = ""
     cheap: bool = False  # True when evaluation is closed-form, not quadrature
-    table: Optional[Callable] = None  # fast vectorized order-0 evaluation
+    table: Optional[Callable] = None  # vectorized evaluation on a batch of xi
 
     def __call__(self, xi, order: int = 0):
         if order > self.derivative_order_cap:
@@ -59,11 +61,7 @@ class SmoothField:
     def tabulate(self, lo: float, hi: float, n: int = 2048) -> "SmoothField":
         """Spline-backed copy; derivatives come from the spline."""
         grid = np.linspace(lo, hi, n)
-        if self.table is not None:
-            vals = np.asarray(self.table(grid))
-        else:
-            vals = np.asarray([complex(np.asarray(self.evaluator(x, 0))) for x in grid])
-        spline = CubicSpline(grid, vals)
+        spline = CubicSpline(grid, np.asarray(self.evaluator(grid, 0), dtype=complex))
 
         def evaluator(xi, order=0):
             s = spline if order == 0 else spline.derivative(order)
@@ -181,7 +179,6 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
         return SmoothField(_delta_like_hat(f), label=f"ft({f.label})", cheap=True)
 
     eta = 0.4 * min(f.strip_plus, f.strip_minus, 1.0)
-    cache = {}
     # One vanishing branch means f continues across the axis, so each
     # integration contour can sit on the side where e^(-i z xi) decays; this
     # avoids the e^(eta |xi|) cancellation blowup, and the transform then
@@ -191,51 +188,17 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
     minus_zero = isinstance(f.f_minus, ex.Expr) and ex._is_const(ex.simplify(f.f_minus), 0)
     one_sided = plus_zero or minus_zero
 
-    def contour_offsets(xi):
-        if one_sided:
-            s = -eta if xi > 0 else eta
-            return s, s
-        return eta, -eta
-
-    def integrand_terms(x, xi, order, s_plus, s_minus):
-        zp = x + 1j * s_plus
-        acc = hy._eval_branch(f.f_plus, zp) * (-1j * zp) ** order * np.exp(-1j * zp * xi) \
-            if not plus_zero else 0.0
-        if not minus_zero:
-            zm = x + 1j * s_minus
-            acc = acc - hy._eval_branch(f.f_minus, zm) * (-1j * zm) ** order \
-                * np.exp(-1j * zm * xi)
-        return acc
-
     def radius_for(order):
         growth, weight = hy._combined_tail(f, GrowthClass.tempered(float(order)))
         return quad_auto_radius(growth, 1e-11, weight)
 
-    def hat(xi, order=0):
-        arr = np.asarray(xi, dtype=float)
-        if arr.ndim:
-            return np.array([hat(float(x), order) for x in arr])
-        key = (float(arr), order)
-        if key in cache:
-            return cache[key]
-        xiv = float(arr)
-        sp_, sm_ = contour_offsets(xiv)
-        radius = radius_for(order)
-        max_panel = math.pi / abs(xiv) if xiv else None
-        from .quad import _geometric_breakpoints
-
-        val, _, _ = adaptive_interval(
-            lambda x: integrand_terms(x, xiv, order, sp_, sm_),
-            -radius, radius, 1e-11, 4000,
-            breakpoints=_geometric_breakpoints(radius), max_panel=max_panel)
-        cache[key] = complex(val)
-        return complex(val)
-
-    def table(xis):
-        """One shared oscillation-resolving grid for a whole batch of xi."""
+    def table(xis, order=0):
+        """hat f^(order) on one shared oscillation-resolving grid for a whole
+        batch of xi; the derivative order is the factor (-iz)^order of both
+        branch amplitudes."""
         xis = np.asarray(xis, dtype=float)
         xi_peak = max(1.0, float(np.max(np.abs(xis))))
-        radius = radius_for(0)
+        radius = radius_for(order)
         flat = xis.ravel()
         groups = ([(flat > 0, -eta, -eta), (flat <= 0, eta, eta)]
                   if one_sided else [(np.ones(flat.shape, bool), eta, -eta)])
@@ -243,6 +206,11 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
         def evaluate(panels):
             rule = CompositeRule(-radius, radius, panels, 8)
             x = rule.points
+
+            def amplitude(branch, z):
+                a = hy._eval_branch(branch, z) * rule.weights
+                return a * (-1j * z) ** order if order else a
+
             res = np.empty(flat.shape, dtype=complex)
             for mask, s_p, s_m in groups:
                 sub = flat[mask]
@@ -251,10 +219,10 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
                 # exp(-i xi (x + i s)) = exp(xi s) exp(-i xi x)
                 amps, shifts = [], []
                 if not plus_zero:
-                    amps.append(hy._eval_branch(f.f_plus, x + 1j * s_p) * rule.weights)
+                    amps.append(amplitude(f.f_plus, x + 1j * s_p))
                     shifts.append(s_p)
                 if not minus_zero:
-                    amps.append(-hy._eval_branch(f.f_minus, x + 1j * s_m) * rule.weights)
+                    amps.append(-amplitude(f.f_minus, x + 1j * s_m))
                     shifts.append(s_m)
                 sums = rule.exp_sum(sub, np.array(amps), -1j)
                 res[mask] = sum(np.exp(sub * s) * row for s, row in zip(shifts, sums))
@@ -264,7 +232,12 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
         return refine(evaluate, start, 1 << 16, 1e-10,
                       f"Fourier table (|xi| up to {xi_peak:g})")[0]
 
-    scale = abs(complex(np.asarray(hat(0.0)))) + 1.0
+    def hat(xi, order=0):
+        if np.ndim(xi):
+            return table(xi, order)
+        return complex(table(np.array([float(xi)]), order)[0])
+
+    scale = abs(hat(0.0)) + 1.0
     growth = (GrowthClass.exp_decay(eta, constant=10.0 * scale) if one_sided
               else GrowthClass.infra_exponential(constant=10.0 * scale))
     return SmoothField(hat, label=f"ft({f.label})", table=table, growth=growth)
@@ -605,14 +578,7 @@ def structural_representation(f: Hyperfunction1D, J: Optional[LocalOperator] = N
 
     panels = max(64, int(2 * x_max * xi_max / math.pi))
     rule = CompositeRule(-xi_max, xi_max, panels, 10)
-    xi = rule.points
-    if field.table is not None:
-        gv = np.asarray(field.table(xi)) / (np.asarray(J.symbol(xi)) * (1.0 + xi ** 2))
-    elif field.cheap:
-        gv = np.asarray(fhat0(xi))
-    else:
-        gv = np.asarray([complex(np.asarray(fhat0(x))) for x in xi])
-    wg = rule.weights * gv
+    wg = rule.weights * np.asarray(fhat0(rule.points))
 
     c_plus = complex(np.asarray(fhat0(xi_max))) * xi_max ** 2
     c_minus = complex(np.asarray(fhat0(-xi_max))) * xi_max ** 2

@@ -173,6 +173,44 @@ def test_local_operator_root_test():
         bad.check_admissible()
 
 
+def _bessel_operator():
+    # b_n = 1/((n+1)! n!): J(zeta) = I_1(2 sqrt(i zeta)) / sqrt(i zeta)
+    return hy.LocalOperator(
+        coefficients=(1.0,),
+        tail=lambda n: 1.0 / (math.factorial(n + 1) * math.factorial(n)),
+        label="J")
+
+
+def test_local_operator_symbol_sums_tail():
+    zeta = np.array([1.0, -10.0, 100.0, 553.0, -553.0])
+    got = _bessel_operator().symbol(zeta)
+    want = np.array([complex(mp.besseli(1, 2 * mp.sqrt(1j * z)) / mp.sqrt(1j * z))
+                     for z in zeta])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
+    assert _bessel_operator().symbol(0.0) == 1.0
+
+
+def test_local_operator_symbol_raises_at_term_cap():
+    slow = hy.LocalOperator(coefficients=(1.0,), tail=lambda n: 1.0, label="slow")
+    for zeta in (2.0, 1e3):  # partial sums stay finite, then overflow
+        with pytest.raises(ConvergenceError):
+            slow.symbol(zeta)
+
+
+def test_infinite_order_operator_on_delta():
+    # <J(D) delta, e^(-x^2)> = sum_m (-1)^m / ((2m+1)! m!)
+    f = hy.apply_local_operator(_bessel_operator(), hy.delta_derivative(0))
+    assert abs(hy.pair(f, SUITE[0]) - 0.837467045831) < 1e-5
+
+
+def test_infinite_order_operator_on_sech_finishes():
+    t0 = time.perf_counter()
+    f = hy.apply_local_operator(_bessel_operator(), cp.default_corpus()["sech"])
+    value = hy.pair(f, SUITE[0])
+    assert time.perf_counter() - t0 < 5.0
+    assert np.isfinite(value)
+
+
 def test_operator_support_preservation_proxy():
     # pairing of J(D)delta depends only on derivatives of phi at 0
     J = hy.LocalOperator(coefficients=(1.0, 2.0, 3.0))

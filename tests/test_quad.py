@@ -20,8 +20,7 @@ def test_adaptive_interval_gaussian():
 
 def test_adaptive_interval_oscillatory():
     val, _, _ = adaptive_interval(lambda x: np.exp(-x * x) * np.cos(10 * x),
-                                  -8.0, 8.0, abs_tol=1e-12,
-                                  max_panel=math.pi / 10)
+                                  -8.0, 8.0, abs_tol=1e-12)
     want = math.sqrt(math.pi) * math.exp(-25.0)
     assert abs(val - want) < 1e-12
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -34,6 +35,23 @@ def test_fourier_of_gaussian():
     for xi in (0.5, 2.0):
         want = math.sqrt(2.0 * math.pi) * math.exp(-xi * xi / 2.0)
         assert abs(complex(np.asarray(fhat(xi))) - want) < 1e-9
+
+
+@pytest.mark.parametrize("label, closed", [
+    ("sech", lambda x: mp.pi * mp.sech(mp.pi * x / 2)),
+    ("gaussian", lambda x: mp.sqrt(2 * mp.pi) * mp.exp(-x * x / 2)),
+])
+def test_fourier_derivative_orders_away_from_zero(label, closed):
+    # order k is d^k/dxi^k of the transform; a scalar xi is a batch of one
+    field = sp.fourier_transform(CORPUS[label])
+    xis = np.array([-3.0, 0.0, 1.5, 8.0])
+    with mp.workdps(30):
+        for k in range(7):
+            got = field(xis, order=k)
+            want = np.array([complex(mp.diff(closed, mp.mpf(x), k)) for x in xis])
+            assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-9
+            for x, g in zip(xis, got):
+                assert abs(field(float(x), order=k) - g) <= 1e-10
 
 
 def test_fourier_rejects_tempered_input():
