@@ -87,7 +87,7 @@ def test_failed_check_exits_1(tmp_path):
 
 def test_convergence_error_exits_1(tmp_path, capsys):
     # standardize's G needs more than its 1024-panel cap this near the axis
-    code, _ = run(["pair", "--label", "sech", "--standardize", "--eta", "0.03"],
+    code, _ = run(["pair", "--label", "sech", "--standardize", "--eta", "0.01"],
                   tmp_path)
     assert code == 1
     err = capsys.readouterr().err

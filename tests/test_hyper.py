@@ -90,6 +90,14 @@ def test_standardize_preserves_pairings():
     assert abs(hy.pair(f, phi) - hy.pair(g, phi)) < 1e-8
 
 
+@pytest.mark.parametrize("label", ["delta", "delta1", "delta2", "delta3", "delta_shift"])
+def test_standardize_circle_route_matches_direct_pairing(label):
+    f = cp.default_corpus()[label]
+    phi = SUITE[0]
+    want = hy.pair(f, phi)
+    assert abs(hy.pair(hy.standardize(f), phi) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 # <f, exp(-x^2)> for the line-route members of the corpus
 _STANDARDIZE_ORACLES = {
     "sech": lambda x: mp.sech(x),
@@ -98,14 +106,26 @@ _STANDARDIZE_ORACLES = {
 }
 
 
+def _standardize_oracle(label):
+    fx = _STANDARDIZE_ORACLES[label]
+    return complex(mp.quad(lambda x: fx(x) * mp.exp(-x * x), [-mp.inf, 0, mp.inf]))
+
+
 @pytest.mark.parametrize("label", sorted(_STANDARDIZE_ORACLES))
 def test_standardize_line_route_matches_oracle(label):
     f = cp.default_corpus()[label]
-    phi = SUITE[0]
-    fx = _STANDARDIZE_ORACLES[label]
-    want = complex(mp.quad(lambda x: fx(x) * mp.exp(-x * x), [-mp.inf, 0, mp.inf]))
-    got = hy.pair(hy.standardize(f), phi)
-    assert abs(got - want) <= 1e-6 * abs(want)
+    want = _standardize_oracle(label)
+    got = hy.pair(hy.standardize(f), SUITE[0])
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_standardize_converges_near_real_axis():
+    # the contour at Im z = +-0.03 needs 512 panels on the translated window
+    f = cp.default_corpus()["sech"]
+    spec = ContourSpec(imag_offset=0.03, abs_tol=1e-10)
+    got = hy.pair(hy.standardize(f), SUITE[0], spec)
+    want = _standardize_oracle("sech")
+    assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_standardize_is_history_free():
@@ -117,11 +137,26 @@ def test_standardize_is_history_free():
     assert np.array_equal(warmed(z), hy.standardize(f).f_plus(z))
 
 
+@pytest.mark.parametrize("label", ["sech", "delta2"])
+def test_standardize_value_does_not_depend_on_batch(label):
+    G = hy.standardize(cp.default_corpus()[label]).f_plus
+    alone = G(0.5 + 0.25j)
+    batch = G(np.array([0.5 + 0.25j, 6.0 + 0.1j, -3.0 + 0.25j]))
+    assert alone == batch[0]
+    assert np.array_equal(G(np.array([6.0 + 0.1j])), batch[1:2])
+
+
+def test_standardize_rejects_the_real_axis():
+    G = hy.standardize(cp.default_corpus()["sech"]).f_plus
+    with pytest.raises(ValueError):
+        G(np.array([0.5 + 0.25j, 1.0 + 0.0j]))
+
+
 def test_standardize_near_real_axis_raises_quickly():
     G = hy.standardize(cp.default_corpus()["sech"]).f_plus
     start = time.perf_counter()
-    with pytest.raises(ConvergenceError):
-        G(np.linspace(-20.0, 20.0, 21) + 0.03j)
+    with pytest.raises(ConvergenceError, match="Im z = 0.01 .*1024 panels"):
+        G(np.linspace(-20.0, 20.0, 21) + 0.01j)
     assert time.perf_counter() - start < 5.0
 
 
