@@ -21,8 +21,8 @@ from . import expr as ex
 from .growth import GrowthClass, GrowthError
 # adaptive_interval and auto_radius stay importable from hyper for its callers
 from .quad import (CompositeRule, ContourSpec, ConvergenceError,  # noqa: F401
-                   adaptive_interval, auto_radius, integrate_line, refine,
-                   verify_growth)
+                   adaptive_interval, auto_radius, by_height, integrate_line,
+                   refine, verify_growth)
 
 __all__ = [
     "Hyperfunction1D", "TestFunction", "LocalOperator", "AdmissibilityError",
@@ -162,17 +162,19 @@ class LocalOperator:
         if self.tail is None:
             return acc
         term, b_last, step = 1.0, 1.0, w ** len(self.coefficients)
-        for n in range(len(self.coefficients), _TAIL_TERMS):
-            b = self.coefficient(n)
-            if b != 0:
-                term = term * step * (b / b_last)
-                acc = acc + term
-                b_last, step = b, 1.0
-                if not np.all(np.isfinite(acc)):
-                    break
-                if np.all(np.abs(term) <= _EPS * np.abs(acc)):
-                    return acc
-            step = step * w
+        # an overflowing sum is caught by the finiteness test below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(len(self.coefficients), _TAIL_TERMS):
+                b = self.coefficient(n)
+                if b != 0:
+                    term = term * step * (b / b_last)
+                    acc = acc + term
+                    b_last, step = b, 1.0
+                    if not np.all(np.isfinite(acc)):
+                        break
+                    if np.all(np.abs(term) <= _EPS * np.abs(acc)):
+                        return acc
+                step = step * w
         raise ConvergenceError(
             f"symbol of {self.label or 'J'}: tail terms still above rounding "
             f"or overflowing at n = {n}")
@@ -374,12 +376,10 @@ def standardize(f: Hyperfunction1D, abs_tol: float = 1e-9) -> Hyperfunction1D:
     """Replace the defining functions by G(z) = <f, h_z>.
 
     The kernel h_z(w) = (-1/2 pi i) e^(-(z-w)^2) / (z-w) reproduces the
-    hyperfunction with a rapidly decaying standard representative.  G groups
-    its points by height y = Im z and refines each height on its own, so a
-    value depends on the other points of a call only through the refinement
-    level shared at its height.  Each point's row is reduced by its own sum,
-    so its rounding does not depend on how many points share the call.  G
-    keeps no state between calls and raises ``ValueError`` on the real axis.
+    hyperfunction with a rapidly decaying standard representative.  G is
+    built with ``quad.by_height``: it refines each height y = Im z on its own
+    and keeps no state between calls.  Each point's row is reduced by its
+    own sum, so its rounding does not depend on how many points share the call.
 
     Off the delta-like case, G integrates over the lines w = Re z + u +- i eta
     with u in [-9, 9] (past that window the kernel is below e^(-81)) and
@@ -431,20 +431,7 @@ def standardize(f: Hyperfunction1D, abs_tol: float = 1e-9) -> Hyperfunction1D:
 
         return refine(evaluate, 16, 1024, abs_tol, f"standardized G at Im z = {y:g}")[0]
 
-    at_height = on_circle if f.is_delta_like else on_lines
-
-    def G(z):
-        zs = np.asarray(z, dtype=complex)
-        flat = zs.ravel()
-        if np.any(flat.imag == 0):
-            raise ValueError("standardized G is defined off the real axis only")
-        heights, group = np.unique(flat.imag, return_inverse=True)
-        out = np.empty_like(flat)
-        for k, y in enumerate(heights):
-            at = group == k
-            out[at] = at_height(flat[at], float(y))
-        return out.reshape(zs.shape) if zs.ndim else out[0]
-
+    G = by_height(on_circle if f.is_delta_like else on_lines)
     return Hyperfunction1D(f_plus=G, f_minus=G, strip_plus=strip, strip_minus=strip,
                            growth=f.growth, label=f"std({f.label})",
                            tail_gain=max(f.tail_gain, 1))

@@ -7,10 +7,13 @@ Exponential sums over a composite Gauss-Legendre rule factor each node
 m_p + h x_k into its panel midpoint and offset, and the equally spaced
 midpoints into a coarse and a fine step, so they take about 2 sqrt(panels)
 complex exps per point and three matrix products instead of one exp per
-(point, node).  ``refine`` is the one refinement driver: every fixed-rule
-quadrature in the package (composite panels, box rules, the circle's
-trapezoid rule) doubles its resolution through it until two passes agree,
-or raises ``ConvergenceError`` at its cap.
+(point, node).  ``refine`` is the one refinement driver: the fixed-rule
+quadratures of the package (composite panels, box rules, the circle's
+trapezoid rule) double their resolution through it until two passes agree,
+or raise ``ConvergenceError`` at its cap; the exceptions are the 1024 fixed
+nodes of ``spectral._laurent_coefficients`` and the f0 grid of
+``spectral.structural_representation``.  ``by_height`` builds every
+computed defining function from one evaluation per height Im z.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from scipy.special import gammaincc, gamma as gamma_fn
 from .growth import GrowthClass
 
 __all__ = [
-    "ContourSpec", "QuadResult", "CompositeRule", "refine", "integrate_line",
-    "integrate_box", "tail_bound", "verify_growth", "ConvergenceError",
-    "DivergentTailError", "DimensionError",
+    "ContourSpec", "QuadResult", "CompositeRule", "tensor_grid", "refine",
+    "by_height", "integrate_line", "integrate_box", "tail_bound",
+    "verify_growth", "ConvergenceError", "DivergentTailError", "DimensionError",
 ]
 
 
@@ -140,6 +143,15 @@ class CompositeRule:
         return out.T.reshape(amps.shape[:-1] + t.shape)
 
 
+def tensor_grid(rules: Sequence[CompositeRule]):
+    """Points (N, len(rules)) and weights (N,) of the tensor product of
+    ``rules``, the first axis varying slowest."""
+    mesh = np.meshgrid(*[r.points for r in rules], indexing="ij")
+    wmesh = np.meshgrid(*[r.weights for r in rules], indexing="ij")
+    return (np.stack([m.ravel() for m in mesh], axis=-1),
+            np.prod([w.ravel() for w in wmesh], axis=0))
+
+
 def refine(evaluate: Callable, start: int, cap: int, abs_tol: float, what: str,
            unit: str = "panels"):
     """Call ``evaluate(n)`` for n = start, 2 start, ... while n <= cap.
@@ -160,6 +172,26 @@ def refine(evaluate: Callable, start: int, cap: int, abs_tol: float, what: str,
         n *= 2
     raise ConvergenceError(
         f"{what} did not reach abs_tol={abs_tol:g} within {cap} {unit}")
+
+
+def by_height(at_height: Callable) -> Callable:
+    """G(z) from ``at_height(points, y)``, which evaluates the points of one
+    height y = Im z.  G raises ``ValueError`` on the real axis and calls
+    ``at_height`` once per height of a call, so a value depends on the other
+    points only through those at its height.  G(z) has the shape of z."""
+    def G(z):
+        zs = np.asarray(z, dtype=complex)
+        flat = zs.ravel()
+        if np.any(flat.imag == 0):
+            raise ValueError("defining function evaluated on the real axis")
+        heights, group = np.unique(flat.imag, return_inverse=True)
+        out = np.empty_like(flat)
+        for k, y in enumerate(heights):
+            at = group == k
+            out[at] = at_height(flat[at], float(y))
+        return out.reshape(zs.shape) if zs.ndim else out[0]
+
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +341,7 @@ def integrate_box(integrand: Callable, box, abs_tol: float = 1e-9,
 
     def evaluate(m):
         nonlocal nodes_used
-        rules = [CompositeRule(lo, hi, 1, m) for lo, hi in axes]
-        mesh = np.meshgrid(*[r.points for r in rules], indexing="ij")
-        pts = np.stack([mm.ravel() for mm in mesh], axis=-1)
-        wmesh = np.meshgrid(*[r.weights for r in rules], indexing="ij")
-        weights = wmesh[0].ravel()
-        for wm in wmesh[1:]:
-            weights = weights * wm.ravel()
+        pts, weights = tensor_grid([CompositeRule(lo, hi, 1, m) for lo, hi in axes])
         vals = np.asarray(integrand(pts))
         nodes_used += pts.shape[0]
         return np.sum(weights * vals)

@@ -22,7 +22,8 @@ from . import spectral as sp
 from .growth import GrowthClass
 from .hyper import Hyperfunction1D, TWO_PI_I
 from .odeseries import _is_exact
-from .quad import CompositeRule, DimensionError, integrate_box, refine
+from .quad import (CompositeRule, DimensionError, by_height, integrate_box, refine,
+                   tensor_grid)
 
 __all__ = [
     "SmoothRapid", "PointSource", "DeltaCombo", "RadonSlice", "HomogeneousPoly",
@@ -150,21 +151,6 @@ def _check_unit(omega):
     return omega
 
 
-# ---------------------------------------------------------------------------
-# box grids shared by the quadrature-backed routes
-
-
-def _tensor_grid(radius: float, n: int, panels: int, deg: int = 8):
-    rule = CompositeRule(-radius, radius, panels, deg)
-    mesh = np.meshgrid(*([rule.points] * n), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*([rule.weights] * n), indexing="ij")
-    w = wmesh[0].ravel()
-    for wm in wmesh[1:]:
-        w = w * wm.ravel()
-    return pts, w
-
-
 def _projected_terms(f: DeltaCombo, omega):
     """(a.omega, |alpha|, weight b_alpha omega^alpha) for every term of every
     source: J(D) delta(x - a) projects to b omega^alpha delta^(|alpha|)(t - a.omega)."""
@@ -177,24 +163,45 @@ def _projected_terms(f: DeltaCombo, omega):
             yield adot, sum(alpha), c
 
 
-def _trans_panels(u_panels, start):
-    """Transverse panels: 12 at the start level, doubling with the u-panels up to 48."""
-    return min(48, 12 * u_panels // start)
+def _weighted_projection(f: SmoothRapid, omega, degree: int, abs_tol: float):
+    """u_panels -> (rule, p(u)·w), memoized: p(u) integrates f over the plane
+    omega.x = u, and (u, w) are the points and weights of ``rule``.
 
-
-def _projection(f, omega, frame, u_axis, trans_panels):
-    """p(u) = integral of f over the hyperplane omega.x = u."""
+    The transverse degree-8 panels are chosen once, by ``refine`` from 12 to
+    at most 48 panels on the 16-u-panel grid, whose finer pass is kept as
+    level 16; every level uses them, so no value depends on call order."""
     n = f.dimension
-    if n == 1:
-        return np.asarray(f(u_axis[:, None]))
     extent = f.radius * math.sqrt(n)
-    vpts, vw = _tensor_grid(extent, n - 1, trans_panels)
-    tang = np.asarray(frame[1:])  # (n-1, n)
-    shifted = vpts @ tang  # (Nv, n)
-    pts = u_axis[:, None, None] * np.asarray(omega)[None, None, :] \
-        + shifted[None, :, :]
-    vals = np.asarray(f(pts.reshape(-1, n))).reshape(len(u_axis), -1)
-    return vals @ vw
+    tangents = np.asarray(_orthonormal_frame(omega)[1:])  # (n-1, n)
+    levels, trans = {}, None
+
+    def project(u_panels, trans_panels):
+        rule = CompositeRule(-extent, extent, u_panels, degree)
+        if n == 1:
+            return rule, np.asarray(f(rule.points[:, None] * omega[0])) * rule.weights
+        vpts, vw = tensor_grid([CompositeRule(-extent, extent, trans_panels, 8)] * (n - 1))
+        pts = rule.points[:, None, None] * np.asarray(omega)[None, None, :] \
+            + (vpts @ tangents)[None, :, :]
+        vals = np.asarray(f(pts.reshape(-1, n))).reshape(len(rule.points), -1)
+        return rule, (vals @ vw) * rule.weights
+
+    def weighted(u_panels):
+        nonlocal trans
+        if trans is None:
+            passes = {}
+
+            def at_trans(trans_panels):
+                passes[trans_panels] = project(16, trans_panels)
+                return passes[trans_panels][1]
+
+            _, _, trans = refine(at_trans, 12, 48, abs_tol, "Radon projection",
+                                 "transverse panels")
+            levels[16] = passes[trans]
+        if u_panels not in levels:
+            levels[u_panels] = project(u_panels, trans)
+        return levels[u_panels]
+
+    return weighted
 
 
 # ---------------------------------------------------------------------------
@@ -220,46 +227,26 @@ def _delta_combo_slice(f: DeltaCombo, omega) -> Hyperfunction1D:
 
 
 def radon_transform(f: MultiDimFunction, omega, abs_tol: float = 1e-9) -> RadonSlice:
-    """Slice hyperfunction of f in direction omega."""
+    """Slice hyperfunction of f in direction omega.  For a smooth f, G sums
+    the memoized projection over degree-16 u-panels and refines each height
+    from 16 u-panels on every call; past 2048 it raises ``ConvergenceError``."""
     omega = _check_unit(omega)
     if isinstance(f, DeltaCombo):
         return RadonSlice(omega=omega, hyper=_delta_combo_slice(f, omega),
                           label=f.label)
 
-    n = f.dimension
-    frame = _orthonormal_frame(omega)
-    extent = f.radius * math.sqrt(n)
-    # u-panels of the last converged level; it is trusted for contours at
-    # least as far from the axis as ``eta_ok``, and warm-starts the others
-    state = {"u_panels": 16, "eta_ok": None, "cache": {}}
+    weighted = _weighted_projection(f, omega, 16, abs_tol)
 
-    def weighted_projection(u_panels):
-        if u_panels not in state["cache"]:
-            rule = CompositeRule(-extent, extent, u_panels, 8)
-            pv = _projection(f, omega, frame, rule.points,
-                             _trans_panels(u_panels, 16)) * rule.weights
-            state["cache"][u_panels] = (rule.points, pv)
-        return state["cache"][u_panels]
-
-    def G(tau):
-        taus = np.atleast_1d(np.asarray(tau, dtype=complex))
-        eta = float(np.min(np.abs(taus.imag)))
-        if eta <= 0:
-            raise ValueError("defining function evaluated on the real axis")
-
+    def at_height(taus, y):
         def evaluate(u_panels):
-            u_axis, pv = weighted_projection(u_panels)
+            rule, pv = weighted(u_panels)
             return (-1.0 / TWO_PI_I) * \
-                (pv[None, :] / (taus[:, None] - u_axis[None, :])).sum(axis=1)
+                (pv[None, :] / (taus[:, None] - rule.points[None, :])).sum(axis=1)
 
-        if state["eta_ok"] is not None and eta >= state["eta_ok"]:
-            cur = evaluate(state["u_panels"])
-        else:
-            cur, _, state["u_panels"] = refine(evaluate, state["u_panels"], 2048,
-                                               abs_tol, "Radon slice G", "u-panels")
-            state["eta_ok"] = min(eta, state["eta_ok"] or math.inf)
-        return cur if np.ndim(tau) else cur[0]
+        return refine(evaluate, 16, 2048, abs_tol, f"Radon slice G at Im tau = {y:g}",
+                      "u-panels")[0]
 
+    G = by_height(at_height)
     slice_hyper = Hyperfunction1D(
         f_plus=G, f_minus=G, strip_plus=math.inf, strip_minus=math.inf,
         growth=GrowthClass.tempered(-1.0), tail_gain=1,
@@ -268,7 +255,8 @@ def radon_transform(f: MultiDimFunction, omega, abs_tol: float = 1e-9) -> RadonS
 
 
 def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
-    """rho -> hat f(rho omega), the Fourier-slice ray."""
+    """rho -> hat f(rho omega), the Fourier-slice ray: for a smooth f, exp
+    sums over its own memoized degree-8 projection, from 16·2^k u-panels."""
     omega = _check_unit(omega)
     if isinstance(f, DeltaCombo):
         def hat(rho, order=0):
@@ -283,19 +271,19 @@ def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
         return sp.SmoothField(hat, growth=GrowthClass.infra_exponential(),
                               cheap=True, label=f"ray({f.label})")
 
-    n = f.dimension
-    frame = _orthonormal_frame(omega)
-    extent = f.radius * math.sqrt(n)
+    extent = f.radius * math.sqrt(f.dimension)
+    weighted = _weighted_projection(f, omega, 8, 1e-10)
 
     def table(rhos):
         rhos = np.asarray(rhos, dtype=float)
         peak = max(1.0, float(np.max(np.abs(rhos))))
-        start = max(12, int(1.2 * extent * peak / math.pi) + 1)
+        # a power-of-two multiple of 16, so tables of one ray share levels
+        start = 16
+        while start < 1.2 * extent * peak / math.pi:
+            start *= 2
 
         def evaluate(u_panels):
-            rule = CompositeRule(-extent, extent, u_panels, 8)
-            pv = _projection(f, omega, frame, rule.points,
-                             _trans_panels(u_panels, start)) * rule.weights
+            rule, pv = weighted(u_panels)
             return rule.exp_sum(rhos, pv, -1j)
 
         return refine(evaluate, start, 4096, 1e-10,
@@ -307,11 +295,10 @@ def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
         arr = np.asarray(rho, dtype=float)
         return table(np.atleast_1d(arr))[0] if not arr.ndim else table(arr)
 
-    v0 = abs(complex(np.asarray(hat(0.0))))
-    samples = [abs(complex(np.asarray(hat(r)))) for r in (4.0, 8.0)]
+    v0, v4, v8 = np.abs(table(np.array([0.0, 4.0, 8.0])))
     rate = 0.25
-    if samples[0] > 1e-300 and samples[1] > 1e-300:
-        rate = max(0.05, min(2.0, math.log(samples[0] / samples[1]) / 4.0))
+    if v4 > 1e-300 and v8 > 1e-300:
+        rate = max(0.05, min(2.0, math.log(v4 / v8) / 4.0))
     return sp.SmoothField(hat, table=table, label=f"ray({f.label})",
                           growth=GrowthClass.exp_decay(rate, constant=10.0 * (v0 + 1.0)))
 
@@ -466,8 +453,7 @@ def defining_function_value(f: MultiDimFunction, omega, tau: complex) -> complex
             total += c * (-1.0 / TWO_PI_I) * (-1.0) ** m * math.factorial(m) \
                 / (tau - adot) ** (m + 1)
         return total
-    sl = radon_transform(f, omega)
-    return complex(np.asarray(sl.hyper.plus(np.array([tau]))[0]))
+    return complex(radon_transform(f, omega).hyper.plus(tau))
 
 
 @dataclass(frozen=True)

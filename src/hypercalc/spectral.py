@@ -26,7 +26,7 @@ from . import hyper as hy
 from .growth import GrowthClass
 from .hyper import (AdmissibilityError, ContourSpec, Hyperfunction1D,
                     TestFunction, LocalOperator, TWO_PI_I)
-from .quad import (CompositeRule, adaptive_interval, refine,
+from .quad import (CompositeRule, adaptive_interval, by_height, refine,
                    auto_radius as quad_auto_radius)
 
 __all__ = [
@@ -249,7 +249,9 @@ def inverse_fourier(g: SmoothField, label: str = "", abs_tol: float = 1e-10,
     for Im z > 0 and F_minus(z) = -(1/2 pi) int_{-X}^0 for Im z < 0.
 
     The half-line integrals converge through the e^(-|Im z| xi) damping plus
-    whatever decay g itself has; X is chosen accordingly.
+    whatever decay g itself has.  Each branch is built with
+    ``quad.by_height``: the cutoff X, the damping |Im z| and the start level
+    of the degree-16 panel doubling come from the points of one height.
     """
     if g.growth.kind == "exp_decay":
         base_rate = g.growth.rate
@@ -268,9 +270,8 @@ def inverse_fourier(g: SmoothField, label: str = "", abs_tol: float = 1e-10,
         gg = g.tabulate(-X0, X0, tabulate_n)
 
     def branch(sign):
-        def F(z):
-            zs = np.atleast_1d(np.asarray(z, dtype=complex))
-            eta = float(np.min(sign * zs.imag))
+        def at_height(zs, y):
+            eta = sign * y
             if eta <= 0:
                 raise ValueError("branch evaluated on the wrong side of the axis")
             X = xi_cutoff(eta)
@@ -282,11 +283,10 @@ def inverse_fourier(g: SmoothField, label: str = "", abs_tol: float = 1e-10,
                 gv = np.asarray(gg(rule.points, 0))
                 return sign / (2.0 * math.pi) * rule.exp_sum(zs, gv * rule.weights, 1j)
 
-            cur = refine(evaluate, max(8, int(xmax * X / math.pi) + 1), 1 << 14,
-                         abs_tol, "inverse Fourier branch")[0]
-            return cur if np.ndim(z) else cur[0]
+            return refine(evaluate, max(8, int(xmax * X / math.pi) + 1), 1 << 14,
+                          abs_tol, f"inverse Fourier branch at Im z = {y:g}")[0]
 
-        return F
+        return by_height(at_height)
 
     return Hyperfunction1D(
         f_plus=branch(+1), f_minus=branch(-1), strip_plus=math.inf,

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -150,9 +151,41 @@ def test_radon_slice_direction_validation():
 
 
 def test_slice_G_raises_past_u_panel_cap():
-    sl = rd.radon_transform(MD["gauss2"], (1.0, 0.0), abs_tol=1e-30)
+    sl = rd.radon_transform(MD["gauss2"], (1.0, 0.0))
+    start = time.perf_counter()
     with pytest.raises(ConvergenceError, match="within 2048 u-panels"):
+        sl.hyper.f_plus(np.array([0.3 + 1e-4j]))
+    assert time.perf_counter() - start < 5.0
+
+
+def test_slice_projection_raises_past_transverse_cap():
+    sl = rd.radon_transform(MD["gauss2"], (1.0, 0.0), abs_tol=1e-30)
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="within 48 transverse panels"):
         sl.hyper.f_plus(np.array([0.3 + 0.5j]))
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("label", ["gauss2", "skew_gauss2"])
+def test_slice_G_is_history_free(label):
+    f, omega = MD[label], (0.6, 0.8)
+    near = np.linspace(-1.0, 1.0, 21) + 0.5j
+    warmed = rd.radon_transform(f, omega).hyper.f_plus
+    warmed(np.linspace(-27.0, -16.0, 23) + 0.5j)
+    got = warmed(near)
+    assert np.array_equal(got, rd.radon_transform(f, omega).hyper.f_plus(near))
+    want = rd.radon_transform(f, omega, abs_tol=1e-13).hyper.f_plus(near)
+    assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_one_dimensional_slice_follows_the_direction():
+    # the slice of f(x) in direction -1 is the slice of f(-x) in direction +1
+    f = rd.SmoothRapid(ex.parse_expr("exp(-(x1-1)*(x1-1))"), dimension=1)
+    mirror = rd.SmoothRapid(ex.parse_expr("exp(-(x1+1)*(x1+1))"), dimension=1)
+    tau = np.array([0.5 + 0.3j, -1.0 + 0.3j])
+    got = rd.radon_transform(f, (-1.0,)).hyper.f_plus(tau)
+    want = rd.radon_transform(mirror, (1.0,)).hyper.f_plus(tau)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_projected_delta_terms_agree_across_routes():

@@ -77,6 +77,13 @@ def test_round_trip_sech():
     assert abs(hy.pair(f, phi) - hy.pair(back, phi)) < 1e-6
 
 
+def test_inverse_branch_value_does_not_depend_on_batch():
+    back = sp.inverse_fourier(sp.fourier_transform(CORPUS["sech"]))
+    for branch, z in ((back.f_plus, np.array([0.5 + 0.25j, 6.0 + 0.1j])),
+                      (back.f_minus, np.array([0.5 - 0.25j, 6.0 - 0.1j]))):
+        assert branch(z[0]) == branch(z)[0]
+
+
 def test_inverse_fourier_of_one_is_delta():
     fld = sp.SmoothField(lambda xi, order=0: np.ones_like(np.asarray(xi,
                                                                      dtype=complex)),
