@@ -188,15 +188,9 @@ def _weighted_projection(f: SmoothRapid, omega, degree: int, abs_tol: float):
     def weighted(u_panels):
         nonlocal trans
         if trans is None:
-            passes = {}
-
-            def at_trans(trans_panels):
-                passes[trans_panels] = project(16, trans_panels)
-                return passes[trans_panels][1]
-
-            _, _, trans = refine(at_trans, 12, 48, abs_tol, "Radon projection",
-                                 "transverse panels")
-            levels[16] = passes[trans]
+            pv, _, trans = refine(lambda t: project(16, t)[1], 12, 48, abs_tol,
+                                  "Radon projection", "transverse panels")
+            levels[16] = (CompositeRule(-extent, extent, 16, degree), pv)
         if u_panels not in levels:
             levels[u_panels] = project(u_panels, trans)
         return levels[u_panels]
