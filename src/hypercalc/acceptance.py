@@ -123,7 +123,7 @@ def check_fourier_round_trip(seed: int) -> CheckResult:
     def integrand(x):
         return ex.evaluate(sech1, {"z": x.astype(complex)})
 
-    oracle, _, _ = adaptive_interval(integrand, -40.0, 40.0, abs_tol=1e-12)
+    oracle, _, _ = adaptive_interval(integrand, -40.0, 40.0, 1e-12, "sech oracle at xi=1")
     delta_hat = abs(complex(np.asarray(fhat(1.0))) - oracle)
     passed = worst <= 1e-5 and delta_hat <= 1e-6
     return CheckResult(3, "Fourier round trip + sech oracle at xi=1", passed,

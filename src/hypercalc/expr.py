@@ -429,11 +429,12 @@ def print_expr(e: Expr) -> str:
 
 
 def _sech(u):
-    # 1/cosh with overflow-safe tails
-    return 2.0 * np.exp(-np.abs(np.real(u))) / (
-        np.exp(1j * np.imag(u) + np.real(u) - np.abs(np.real(u)))
-        + np.exp(-1j * np.imag(u) - np.real(u) - np.abs(np.real(u)))
-    )
+    # 1/cosh(x + iy) = 2q / ((a+b) cos y + i (a-b) sin y) with q = e^(-|x|) and
+    # (a, b) = (1, q^2) for x >= 0, (q^2, 1) otherwise: one real exp, no overflow
+    x, y = np.real(u), np.imag(u)
+    q = np.exp(-np.abs(x))
+    q2 = q * q
+    return 2.0 * q / ((1.0 + q2) * np.cos(y) + 1j * np.copysign(1.0 - q2, x) * np.sin(y))
 
 
 def _gaussian(u):

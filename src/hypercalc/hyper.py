@@ -19,10 +19,10 @@ import numpy as np
 
 from . import expr as ex
 from .growth import GrowthClass, GrowthError
-# adaptive_interval and auto_radius stay importable from hyper for its callers
+# adaptive_interval, auto_radius: re-exported for perfbench/selftest.py's checks
 from .quad import (CompositeRule, ContourSpec, ConvergenceError,  # noqa: F401
-                   adaptive_interval, auto_radius, by_height, integrate_line,
-                   refine, verify_growth)
+                   adaptive_interval, auto_radius, by_height, in_row_blocks,
+                   integrate_line, refine, verify_growth)
 
 __all__ = [
     "Hyperfunction1D", "TestFunction", "LocalOperator", "AdmissibilityError",
@@ -409,25 +409,25 @@ def standardize(f: Hyperfunction1D, abs_tol: float = 1e-9) -> Hyperfunction1D:
             theta = 2.0 * math.pi * np.arange(n) / n
             w = x0 + radius * np.exp(1j * theta)
             fw = _eval_branch(f.f_plus, w) * (w - x0)
-            return -(2j * math.pi / n) * (_std_kernel(zs[:, None] - w) * fw).sum(axis=-1)
+            return -(2j * math.pi / n) * in_row_blocks(
+                lambda block: (_std_kernel(block[:, None] - w) * fw).sum(axis=-1), zs, n)
 
         return refine(evaluate, 32, 512, abs_tol, f"standardized G at Im z = {y:g}",
                       "nodes")[0]
 
     def on_lines(zs, y):
         eta = 0.5 * min(abs(y), f.strip_plus, f.strip_minus)
-        x = zs.real[:, None]
 
         def evaluate(panels):
             rule = CompositeRule(-_WINDOW, _WINDOW, panels, 16)
             u = rule.points
-            shifted = x + u
             kp = _std_kernel(1j * (y - eta) - u) * rule.weights
             km = _std_kernel(1j * (y + eta) - u) * rule.weights
             # a constant branch evaluates to a scalar and is summed once
-            up = (_eval_branch(f.f_plus, shifted + 1j * eta) * kp).sum(axis=-1)
-            down = (_eval_branch(f.f_minus, shifted - 1j * eta) * km).sum(axis=-1)
-            return up - down
+            return in_row_blocks(lambda x: (
+                (_eval_branch(f.f_plus, x[:, None] + u + 1j * eta) * kp).sum(axis=-1)
+                - (_eval_branch(f.f_minus, x[:, None] + u - 1j * eta) * km).sum(axis=-1)),
+                zs.real, len(u))
 
         return refine(evaluate, 16, 1024, abs_tol, f"standardized G at Im z = {y:g}")[0]
 

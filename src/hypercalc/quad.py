@@ -1,8 +1,9 @@
 """Adaptive quadrature along horizontal contour lines and over boxes in R^n.
 
-The line integrator is an adaptive bisection scheme with an embedded
-Gauss-Legendre pair (10/21 points) per panel.  Truncation tails are
-certified from the declared growth class of the integrand.
+The line integrator bisects in rounds, with an embedded Gauss-Legendre pair
+(10/21 points) per panel: a round evaluates all its new panels in one call
+of the integrand.  Truncation tails are certified from the declared growth
+class of the integrand.
 Exponential sums over a composite Gauss-Legendre rule factor each node
 m_p + h x_k into its panel midpoint and offset, and the equally spaced
 midpoints into a coarse and a fine step, so they take about 2 sqrt(panels)
@@ -13,12 +14,12 @@ trapezoid rule) double their resolution through it until two passes agree,
 or raise ``ConvergenceError`` at its cap; the exceptions are the 1024 fixed
 nodes of ``spectral._laurent_coefficients`` and the f0 grid of
 ``spectral.structural_representation``.  ``by_height`` builds every
-computed defining function from one evaluation per height Im z.
+computed defining function from one evaluation per height Im z, and
+``in_row_blocks`` bounds the memory of its (points x nodes) sums.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -30,7 +31,7 @@ from .growth import GrowthClass
 
 __all__ = [
     "ContourSpec", "QuadResult", "CompositeRule", "tensor_grid", "refine",
-    "by_height", "integrate_line", "integrate_box", "tail_bound",
+    "by_height", "in_row_blocks", "integrate_line", "integrate_box", "tail_bound",
     "verify_growth", "ConvergenceError", "DivergentTailError", "DimensionError",
 ]
 
@@ -54,7 +55,6 @@ class ContourSpec:
     imag_offset: float = 0.5
     truncation_radius: Optional[float] = None  # None = auto from growth
     abs_tol: float = 1e-9
-    max_subdivisions: int = 4000
     growth: Optional[GrowthClass] = None  # declared decay of the integrand
     weight_exponent: float = 0.0  # extra polynomial weight |x|^w in the tail
 
@@ -194,66 +194,69 @@ def by_height(at_height: Callable) -> Callable:
     return G
 
 
+_ROW_BLOCK = 1 << 15  # entries of a (points x nodes) product per block
+
+
+def in_row_blocks(rows: Callable, points, width: int):
+    """``rows(points[i:j])`` over blocks whose (points x ``width``) products
+    hold at most 2^15 entries; a scalar result fills its block.  ``rows``
+    reduces each row on its own, so values do not depend on the blocking."""
+    step = max(1, _ROW_BLOCK // width)
+    out = np.empty(len(points), dtype=complex)
+    for start in range(0, len(points), step):
+        out[start:start + step] = rows(points[start:start + step])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # embedded Gauss-Legendre pair
 
 _XL, _WL = np.polynomial.legendre.leggauss(10)
 _XH, _WH = np.polynomial.legendre.leggauss(21)
+_X_PAIR = np.concatenate([_XL, _XH])
+SUBDIVISION_CAP = 4000  # bisections adaptive_interval may make before it raises
 
 
-def _panel(f, a, b):
-    """Return (value, error, nodes) for one panel of a vectorized integrand."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = np.concatenate([mid + half * _XL, mid + half * _XH])
-    y = np.asarray(f(x))
-    lo = half * np.sum(_WL * y[: len(_XL)])
-    hi = half * np.sum(_WH * y[len(_XL):])
-    return hi, abs(hi - lo), len(x)
-
-
-def adaptive_interval(f, a, b, abs_tol, max_subdivisions=4000,
+def adaptive_interval(f, a, b, abs_tol, what: str = "integral",
                       breakpoints: Sequence[float] = ()):
-    """Adaptive bisection of a vectorized integrand over [a, b]."""
-    pts = sorted({float(a), float(b), *[p for p in breakpoints if a < p < b]})
-    heap = []
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    nodes = 0
-    panels = {}
-    for idx, (lo, hi) in enumerate(zip(pts[:-1], pts[1:])):
-        val, err, n = _panel(f, lo, hi)
-        nodes += n
-        panels[idx] = (lo, hi, val, err)
-        heapq.heappush(heap, (-err, idx))
-    next_idx = len(panels)
-    splits = 0
+    """Adaptive bisection of a vectorized integrand over [a, b] in rounds.
+
+    Round 0 evaluates the panels between a, b and the breakpoints inside;
+    each later round bisects, largest error first, the fewest panels that
+    leave the rest with errors summing to at most abs_tol / 2.  A round
+    evaluates both rules of all its new panels in one call of f.  Stops when
+    the summed error is at most ``abs_tol``; raises ``ConvergenceError``
+    before a round would take the bisections past ``SUBDIVISION_CAP``.
+    Returns ``(value, err, nodes)``, summed over the panels in x order.
+    """
+    edges = np.array(sorted({float(a), float(b), *[p for p in breakpoints if a < p < b]}))
+    new_lo, new_hi = edges[:-1], edges[1:]
+    lo = hi = val = err = np.empty(0)
+    nodes = splits = 0
     while True:
-        total = sum(v for (_, _, v, _) in panels.values())
-        total_err = sum(e for (_, _, _, e) in panels.values())
-        if total_err <= abs_tol:
-            break
-        if splits >= max_subdivisions:
+        mid, half = 0.5 * (new_lo + new_hi), 0.5 * (new_hi - new_lo)
+        y = np.asarray(f((mid[:, None] + half[:, None] * _X_PAIR).ravel()))
+        y = y.reshape(len(mid), len(_X_PAIR))
+        low = half * (_WL * y[:, :len(_WL)]).sum(axis=1)
+        high = half * (_WH * y[:, len(_WL):]).sum(axis=1)
+        nodes += y.size
+        lo, hi = np.append(lo, new_lo), np.append(hi, new_hi)
+        val, err = np.append(val, high), np.append(err, np.abs(high - low))
+        if err.sum() <= abs_tol:
+            in_x = np.argsort(lo)
+            return val[in_x].sum(), float(err[in_x].sum()), nodes
+        order = np.argsort(-err, kind="stable")
+        unsplit = np.cumsum(err[order][::-1])[::-1]  # error left by splitting order[:k]
+        k = int(np.count_nonzero(~(unsplit <= 0.5 * abs_tol)))  # a NaN splits them all
+        if splits + k > SUBDIVISION_CAP:
             raise ConvergenceError(
-                f"did not reach abs_tol={abs_tol:g}: error estimate "
-                f"{total_err:g} after {splits} subdivisions")
-        neg_err, idx = heapq.heappop(heap)
-        if idx not in panels:
-            continue
-        lo, hi, _, _ = panels.pop(idx)
-        mid = 0.5 * (lo + hi)
-        for sub in ((lo, mid), (mid, hi)):
-            val, err, n = _panel(f, *sub)
-            nodes += n
-            panels[next_idx] = (sub[0], sub[1], val, err)
-            heapq.heappush(heap, (-err, next_idx))
-            next_idx += 1
-        splits += 1
-    # deterministic reduction in panel order
-    ordered = sorted(panels.values(), key=lambda p: p[0])
-    total = sum(v for (_, _, v, _) in ordered)
-    total_err = sum(e for (_, _, _, e) in ordered)
-    return total, total_err, nodes
+                f"{what} did not reach abs_tol={abs_tol:g} within {SUBDIVISION_CAP} "
+                f"subdivisions (error estimate {err.sum():g})")
+        splits += k
+        split, keep = order[:k], order[k:]
+        cut = 0.5 * (lo[split] + hi[split])
+        new_lo, new_hi = np.append(lo[split], cut), np.append(cut, hi[split])
+        lo, hi, val, err = lo[keep], hi[keep], val[keep], err[keep]
 
 
 def _geometric_breakpoints(radius):
@@ -272,11 +275,8 @@ def auto_radius(growth: GrowthClass, abs_tol: float, weight_exponent: float = 0.
     target = abs_tol / 10.0
     lo, hi = 1.0, 2.0
     while hi < cap:
-        try:
-            if tail_bound(growth, weight_exponent, hi) <= target:
-                break
-        except DivergentTailError:
-            raise
+        if tail_bound(growth, weight_exponent, hi) <= target:
+            break
         hi *= 2.0
     else:
         raise ConvergenceError("tail target unreachable below the radius cap")
@@ -311,8 +311,8 @@ def integrate_line(integrand: Callable, spec: ContourSpec) -> QuadResult:
         return integrand(x + 1j * eta)
 
     value, err, nodes = adaptive_interval(
-        g, -radius, radius, spec.abs_tol, spec.max_subdivisions,
-        breakpoints=_geometric_breakpoints(radius))
+        g, -radius, radius, spec.abs_tol, f"line integral at Im z = {eta:g}",
+        _geometric_breakpoints(radius))
     return QuadResult(value, err, tail, nodes)
 
 
@@ -404,14 +404,13 @@ def verify_growth(e, claimed: GrowthClass, sample_radii=(5.0, 10.0, 20.0),
     fails if |e| exceeds the claimed envelope by more than ``slack`` at any
     sampled radius.
     """
-    fn = e if callable(e) else None
-    if fn is None:
+    if not callable(e):
         raise TypeError("verify_growth needs a callable or expression")
     failures = []
     worst = 0.0
     for r in sample_radii:
         for x in (r, -r):
-            v = abs(complex(np.asarray(fn(complex(x)))))
+            v = abs(complex(np.asarray(e(complex(x)))))
             env = claimed.envelope(abs(x))
             ratio = v / env if env > 0 else math.inf
             worst = max(worst, ratio)

@@ -22,8 +22,8 @@ from . import spectral as sp
 from .growth import GrowthClass
 from .hyper import Hyperfunction1D, TWO_PI_I
 from .odeseries import _is_exact
-from .quad import (CompositeRule, DimensionError, by_height, integrate_box, refine,
-                   tensor_grid)
+from .quad import (CompositeRule, DimensionError, by_height, in_row_blocks,
+                   integrate_box, refine, tensor_grid)
 
 __all__ = [
     "SmoothRapid", "PointSource", "DeltaCombo", "RadonSlice", "HomogeneousPoly",
@@ -120,9 +120,6 @@ class HomogeneousPoly:
                 term = term * w ** a
             total = total + term
         return total
-
-    def parity_value(self):
-        return (-1) ** self.degree
 
 
 def _orthonormal_frame(omega):
@@ -234,8 +231,9 @@ def radon_transform(f: MultiDimFunction, omega, abs_tol: float = 1e-9) -> RadonS
     def at_height(taus, y):
         def evaluate(u_panels):
             rule, pv = weighted(u_panels)
-            return (-1.0 / TWO_PI_I) * \
-                (pv[None, :] / (taus[:, None] - rule.points[None, :])).sum(axis=1)
+            return (-1.0 / TWO_PI_I) * in_row_blocks(
+                lambda block: (pv / (block[:, None] - rule.points)).sum(axis=1),
+                taus, len(pv))
 
         return refine(evaluate, 16, 2048, abs_tol, f"Radon slice G at Im tau = {y:g}",
                       "u-panels")[0]

@@ -530,7 +530,8 @@ class StructuralRep:
         def integrand(x):
             return self.f0(x) * ex.evaluate(combined, {"z": x + 0j})
 
-        val, _, _ = adaptive_interval(integrand, -lim, lim, abs_tol)
+        val, _, _ = adaptive_interval(integrand, -lim, lim, abs_tol,
+                                      f"structural pairing with {phi.label or 'phi'}")
         return complex(val)
 
 

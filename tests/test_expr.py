@@ -2,8 +2,10 @@ import gc
 import math
 import sys
 import threading
+import warnings
 import weakref
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -95,6 +97,21 @@ def test_vectorized_evaluation():
     assert v.shape == z.shape
     single = ex.evaluate(e, {"z": z[3]})
     assert abs(v[3] - single) < 1e-14
+
+
+def test_sech_matches_mpmath():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 161),
+                        [0.0, -0.0, 1e-9, -1e-9, -745.1]])
+    y = np.linspace(-1.49, 1.49, 9)
+    u = (x[:, None] + 1j * y[None, :]).ravel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ex._sech(u)
+    with mp.workdps(30):
+        want = np.array([complex(mp.sech(mp.mpc(v.real, v.imag))) for v in u])
+    # relative to the smallest normal float: past |Re u| ~ 708 sech is subnormal
+    rel = np.abs(got - want) / np.maximum(np.abs(want), np.finfo(float).tiny)
+    assert np.max(rel) <= 2e-15
 
 
 def test_simplify_constant_folding():

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -144,6 +145,22 @@ def test_standardize_value_does_not_depend_on_batch(label):
     batch = G(np.array([0.5 + 0.25j, 6.0 + 0.1j, -3.0 + 0.25j]))
     assert alone == batch[0]
     assert np.array_equal(G(np.array([6.0 + 0.1j])), batch[1:2])
+    # 300 points at one height span several row blocks of the kernel sums
+    row = np.linspace(-6.0, 6.0, 300) + 0.25j
+    assert np.array_equal(G(row), G(row[::-1])[::-1])
+
+
+def test_standardized_pairing_calls_G_once_per_round():
+    f = cp.default_corpus()["sech"]
+    std, calls = hy.standardize(f), []
+
+    def G(z):
+        calls.append(z.size)
+        return std.f_plus(z)
+
+    got = hy.pair(replace(std, f_plus=G, f_minus=G), SUITE[0])
+    assert abs(got - hy.pair(f, SUITE[0])) < 1e-9
+    assert len(calls) <= 4
 
 
 def test_standardize_rejects_the_real_axis():

@@ -6,9 +6,9 @@ import pytest
 import hypercalc.expr as ex
 from hypercalc.growth import GrowthClass
 from hypercalc.quad import (ContourSpec, ConvergenceError, DimensionError,
-                            DivergentTailError, adaptive_interval, auto_radius,
-                            integrate_box, integrate_line, refine, tail_bound,
-                            verify_growth)
+                            DivergentTailError, _geometric_breakpoints,
+                            adaptive_interval, auto_radius, integrate_box,
+                            integrate_line, refine, tail_bound, verify_growth)
 
 
 def test_adaptive_interval_gaussian():
@@ -23,6 +23,26 @@ def test_adaptive_interval_oscillatory():
                                   -8.0, 8.0, abs_tol=1e-12)
     want = math.sqrt(math.pi) * math.exp(-25.0)
     assert abs(val - want) < 1e-12
+
+
+def test_adaptive_interval_calls_f_once_per_round():
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.exp(-x * x)
+
+    val, _, nodes = adaptive_interval(f, -8.0, 8.0, 1e-12,
+                                      breakpoints=_geometric_breakpoints(8.0))
+    assert abs(val - math.sqrt(math.pi)) < 1e-12
+    assert len(calls) <= 3 and sum(calls) == nodes
+
+
+def test_adaptive_interval_names_its_subject_at_the_cap():
+    with pytest.raises(ConvergenceError) as exc:
+        adaptive_interval(lambda x: np.exp(-x * x), -8.0, 8.0, 0.0, "gaussian integral")
+    assert str(exc.value).startswith("gaussian integral did not reach abs_tol=0 "
+                                     "within 4000 subdivisions (error estimate ")
 
 
 def test_integrate_line_shift_invariance():

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,21 @@ def test_slice_G_is_history_free(label):
     assert np.array_equal(got, rd.radon_transform(f, omega).hyper.f_plus(near))
     want = rd.radon_transform(f, omega, abs_tol=1e-13).hyper.f_plus(near)
     assert np.max(np.abs(got - want)) <= 1e-9
+    # 300 points at one height span several row blocks of the Cauchy sum
+    row = np.linspace(-3.0, 3.0, 300) + 0.5j
+    assert np.array_equal(warmed(row), warmed(row[::-1])[::-1])
+
+
+def test_slice_pairing_calls_G_once_per_round():
+    sl, calls = rd.radon_transform(MD["gauss2"], (0.6, 0.8)).hyper, []
+
+    def G(tau):
+        calls.append(tau.size)
+        return sl.f_plus(tau)
+
+    got = hy.pair(replace(sl, f_plus=G, f_minus=G), SUITE[0])
+    assert abs(got - math.pi / math.sqrt(2.0)) < 1e-8
+    assert len(calls) <= 4
 
 
 def test_one_dimensional_slice_follows_the_direction():
