@@ -13,7 +13,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from . import hyper as hy
 from . import odeseries as od
 from . import radon as rd
 from . import spectral as sp
-from .growth import GrowthClass
 from .quad import ContourSpec, adaptive_interval
 
 __all__ = ["CheckResult", "run_all", "report_json", "direction_set", "worker_count",
@@ -351,24 +350,19 @@ def report_json(results: List[CheckResult]) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def run_all(seed: int = 7, determinism_ids: Optional[List[int]] = None,
+def run_all(seed: int = 7,
             echo: Optional[Callable[[str], None]] = None) -> List[CheckResult]:
-    """Run checks 1..13 and the determinism re-run (check 14).
-
-    determinism_ids restricts which checks are re-executed for check 14;
-    None means all of them.
-    """
+    """Run checks 1..13 and the determinism re-run of all of them (check 14)."""
     results = []
     for fn in _SEEDED_CHECKS:
         r = fn(seed)
         results.append(r)
         if echo:
             echo(r.line())
-    ids = determinism_ids or [r.cid for r in results]
-    first = report_json([r for r in results if r.cid in ids])
-    second = report_json([CHECKS[i](seed) for i in sorted(ids)])
+    ids = [r.cid for r in results]
+    second = report_json([CHECKS[i](seed) for i in ids])
     det = CheckResult(14, "determinism: repeated run is byte-identical",
-                      first == second, None, {"rerun_ids": sorted(ids)})
+                      report_json(results) == second, None, {"rerun_ids": ids})
     results.append(det)
     if echo:
         echo(det.line())

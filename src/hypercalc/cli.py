@@ -136,10 +136,6 @@ def parse_operator(text: str) -> od.PolyCoeffOperator:
 # report plumbing
 
 
-def _plain(v):
-    return ac._to_plain(v)
-
-
 class Report:
     def __init__(self, command: str):
         self.command = command
@@ -150,11 +146,11 @@ class Report:
         self.failed = False
 
     def put(self, key, value):
-        self.record[key] = _plain(value)
+        self.record[key] = ac._to_plain(value)
 
     def table(self, header, rows):
         self.header = list(header)
-        self.rows = [[_plain(c) for c in r] for r in rows]
+        self.rows = [[ac._to_plain(c) for c in r] for r in rows]
 
     def say(self, text):
         self.lines.append(text)

@@ -12,7 +12,7 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from . import expr as ex
 from . import radon as rd

@@ -7,7 +7,7 @@ horizontal strip.  It is declared by the caller and spot-checked numerically
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GrowthError(Exception):

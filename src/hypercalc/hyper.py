@@ -26,8 +26,8 @@ from .quad import (CompositeRule, ContourSpec, ConvergenceError,  # noqa: F401
 
 __all__ = [
     "Hyperfunction1D", "TestFunction", "LocalOperator", "AdmissibilityError",
-    "embed_real_analytic", "delta_derivative", "pair", "scale_pair",
-    "standardize", "apply_local_operator", "cauchy_hilbert_kernel",
+    "embed_real_analytic", "delta_combination", "delta_derivative", "pair",
+    "scale_pair", "standardize", "apply_local_operator", "cauchy_hilbert_kernel",
     "laurent_polynomial",
 ]
 
@@ -244,16 +244,24 @@ def laurent_polynomial(coefficients, at: float = 0.0) -> ex.Expr:
     return ex.simplify(total)
 
 
+def delta_combination(coefficients, at: float = 0.0,
+                      growth: GrowthClass = GrowthClass.tempered(-1.0),
+                      label: str = "") -> Hyperfunction1D:
+    """sum c_n delta^(n)(x - at) for ``coefficients`` = {n: c_n}: one
+    delta-like pair F_plus = F_minus = sum c_n (-1/2 pi i) (-1)^n n! / (z - at)^(n+1)."""
+    f = laurent_polynomial({n + 1: c * (-1.0 / TWO_PI_I) * (-1.0) ** n * math.factorial(n)
+                            for n, c in coefficients.items()}, at)
+    return Hyperfunction1D(f_plus=f, f_minus=f, strip_plus=math.inf, strip_minus=math.inf,
+                           growth=growth, label=label, point_support=at)
+
+
 def delta_derivative(n: int = 0, at: float = 0.0) -> Hyperfunction1D:
-    """delta^(n)(x - at) via F = (-1/2 pi i) (-1)^n n! / (z - at)^(n+1)."""
+    """delta^(n)(x - at)."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    c = (-1.0 / TWO_PI_I) * (-1.0) ** n * math.factorial(n)
-    f = laurent_polynomial({n + 1: c}, at)
-    return Hyperfunction1D(
-        f_plus=f, f_minus=f, strip_plus=math.inf, strip_minus=math.inf,
-        growth=GrowthClass.tempered(-(n + 1), constant=math.factorial(n)),
-        label=f"delta^({n})" + (f"@{at:g}" if at else ""), point_support=at)
+    return delta_combination(
+        {n: 1.0}, at, GrowthClass.tempered(-(n + 1), constant=math.factorial(n)),
+        f"delta^({n})" + (f"@{at:g}" if at else ""))
 
 
 _WINDOW = 9.0  # standardize integrates over |Re(z - w)| <= 9, where e^(-81) < 1e-35
@@ -460,7 +468,7 @@ def apply_local_operator(op: LocalOperator, f: Hyperfunction1D) -> Hyperfunction
     field_hat = spectral.fourier_transform(f)
     multiplied = spectral.SmoothField(
         lambda xi, order=0: _require_order0(order) or op.symbol(xi) * field_hat(xi),
-        growth=GrowthClass.infra_exponential(), derivative_order_cap=0)
+        growth=GrowthClass.infra_exponential())
     return spectral.inverse_fourier(multiplied, label=f"{op.label or 'J'}({f.label})")
 
 

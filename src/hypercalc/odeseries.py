@@ -10,6 +10,7 @@ reduced function Gtilde; the actual defining functions are
   delta-type:  F+ = F- = (-1/2 pi i) * Gtilde,
   fp-type:     F+ = (1/2) * Gtilde,  F- = -(1/2) * Gtilde.
 Under these, sum c_n delta^(n) has Gtilde_{n+1} = (-1)^n n! c_n, the
+Laurent coefficients ``hyper.delta_combination`` scales by -1/2 pi i; the
 finite part f.p. t^-n has Gtilde_n = 1, and the constant function 1 is the
 fp-type tail with Gtilde_0 = 1.  Constants in delta-type parity cancel in
 the boundary difference and represent zero.
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 
 from . import expr as ex
 from .growth import GrowthClass
-from .hyper import Hyperfunction1D, TestFunction, laurent_polynomial, pair
+from .hyper import TWO_PI_I, Hyperfunction1D, TestFunction, laurent_polynomial, pair
 
 __all__ = [
     "PolyCoeffOperator", "FormalLaurentTail", "apply_operator", "solve_series",
@@ -121,12 +122,7 @@ def apply_operator(L: PolyCoeffOperator, s: FormalLaurentTail) -> FormalLaurentT
                 k += 1
             if not coef:
                 continue
-            k -= m  # multiply by t^m
-            if k < 0:
-                # positive powers of tau: entire part, cancels in the
-                # boundary difference for either parity only when zero;
-                # keep it so callers see it
-                pass
+            k -= m  # multiply by t^m; k < 0 (an entire part) is kept for callers
             if k > s.n_max:
                 lost.add(k)
                 continue
@@ -182,10 +178,6 @@ def solve_series(L: PolyCoeffOperator, basis: str, init, N: int) -> SeriesSoluti
             residual[k] = residual.get(k, 0) + s * v
 
     add_scaled(cols[0], init)
-    if basis == "fp" and const_col:
-        # the constant is fixed by the tau^0 coordinate once it appears;
-        # defer until the basis columns have contributed there
-        pass
     for n in range(1, N + 1):
         pivot = min(k for k, v in cols[n].items() if v)
         if basis == "delta" and pivot < 1:
@@ -277,47 +269,27 @@ def assemble(tail: FormalLaurentTail, admissible: bool = True,
              label: str = "") -> Hyperfunction1D:
     """Closed form when the tail matches the Laurent expansion of an
     exponential; otherwise a truncated Laurent polynomial (formal-only when
-    inadmissible)."""
+    inadmissible).  A zero tail of either parity is the delta-like zero."""
     if tail.is_zero():
-        zero = ex._ZERO
-        return Hyperfunction1D(f_plus=zero, f_minus=zero, strip_plus=math.inf,
-                               strip_minus=math.inf,
-                               growth=GrowthClass.tempered(-1.0),
-                               point_support=0.0, label=label or "zero")
-    match = _match_exponential(tail) if admissible else None
-    if match is not None:
+        gt, label = ex._ZERO, label or "zero"
+    elif admissible and (match := _match_exponential(tail)) is not None:
         lam, g0 = match
         # Gtilde = g0 + lam (e^{-1/z} - 1)
         core = ex.Sub(ex.Call("exp", ex.Neg(ex.Div(ex._ONE, ex.Var("z")))),
                       ex._ONE)
         gt = ex.Add(ex.Const(complex(g0)), ex.Mul(ex.Const(complex(lam)), core))
-        if tail.parity == "delta":
-            pref = -1.0 / (2.0j * math.pi)
-            fp = fm = ex.simplify(ex.Mul(ex.Const(pref), gt))
-            return Hyperfunction1D(f_plus=fp, f_minus=fm, strip_plus=math.inf,
-                                   strip_minus=math.inf,
-                                   growth=GrowthClass.tempered(-1.0),
-                                   point_support=0.0, label=label)
-        fp = ex.simplify(ex.Mul(ex.Const(0.5), gt))
-        fm = ex.simplify(ex.Neg(fp))
-        return Hyperfunction1D(f_plus=fp, f_minus=fm, strip_plus=math.inf,
-                               strip_minus=math.inf,
-                               growth=GrowthClass.tempered(0.0),
-                               label=label)
-    # truncated Laurent polynomial
-    gt = laurent_polynomial(dict(sorted(tail.coefficients.items())))
-    lbl = label + (" [formal-only]" if not admissible else " [truncated]")
-    if tail.parity == "delta":
-        pref = -1.0 / (2.0j * math.pi)
-        f = ex.simplify(ex.Mul(ex.Const(pref), gt))
+    else:
+        gt = laurent_polynomial(dict(sorted(tail.coefficients.items())))
+        label += " [formal-only]" if not admissible else " [truncated]"
+    if tail.is_zero() or tail.parity == "delta":
+        f = ex.simplify(ex.Mul(ex.Const(-1.0 / TWO_PI_I), gt))
         return Hyperfunction1D(f_plus=f, f_minus=f, strip_plus=math.inf,
-                               strip_minus=math.inf,
-                               growth=GrowthClass.tempered(-1.0),
-                               point_support=0.0, label=lbl)
+                               strip_minus=math.inf, growth=GrowthClass.tempered(-1.0),
+                               point_support=0.0, label=label)
     fp = ex.simplify(ex.Mul(ex.Const(0.5), gt))
     return Hyperfunction1D(f_plus=fp, f_minus=ex.simplify(ex.Neg(fp)),
                            strip_plus=math.inf, strip_minus=math.inf,
-                           growth=GrowthClass.tempered(0.0), label=lbl)
+                           growth=GrowthClass.tempered(0.0), label=label)
 
 
 def residual_check(f: Hyperfunction1D, L: PolyCoeffOperator,

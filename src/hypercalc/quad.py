@@ -15,7 +15,8 @@ or raise ``ConvergenceError`` at its cap; the exceptions are the 1024 fixed
 nodes of ``spectral._laurent_coefficients`` and the f0 grid of
 ``spectral.structural_representation``.  ``by_height`` builds every
 computed defining function from one evaluation per height Im z, and
-``in_row_blocks`` bounds the memory of its (points x nodes) sums.
+``in_row_blocks`` bounds the memory of its (points x nodes) sums and of
+the Radon projection.
 """
 
 from __future__ import annotations
@@ -197,11 +198,11 @@ def by_height(at_height: Callable) -> Callable:
 _ROW_BLOCK = 1 << 15  # entries of a (points x nodes) product per block
 
 
-def in_row_blocks(rows: Callable, points, width: int):
+def in_row_blocks(rows: Callable, points, width: int, entries: int = _ROW_BLOCK):
     """``rows(points[i:j])`` over blocks whose (points x ``width``) products
-    hold at most 2^15 entries; a scalar result fills its block.  ``rows``
+    hold at most ``entries``; a scalar result fills its block.  ``rows``
     reduces each row on its own, so values do not depend on the blocking."""
-    step = max(1, _ROW_BLOCK // width)
+    step = max(1, entries // width)
     out = np.empty(len(points), dtype=complex)
     for start in range(0, len(points), step):
         out[start:start + step] = rows(points[start:start + step])

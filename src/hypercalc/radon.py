@@ -160,13 +160,22 @@ def _projected_terms(f: DeltaCombo, omega):
             yield adot, sum(alpha), c
 
 
+# f's points per projection block (4 MB of complex values).  The Cauchy sums'
+# 2^15 here left glibc's mmap threshold low enough to slow the later Fourier
+# round trips 1.5x (perfbench `transforms` op_tail_ms +30%); 2^18 for the
+# Cauchy sums too raised `symbolic_pairing`'s peak RSS by 20%.
+_PROJECTION_BLOCK = 1 << 18
+
+
 def _weighted_projection(f: SmoothRapid, omega, degree: int, abs_tol: float):
     """u_panels -> (rule, p(u)·w), memoized: p(u) integrates f over the plane
     omega.x = u, and (u, w) are the points and weights of ``rule``.
 
     The transverse degree-8 panels are chosen once, by ``refine`` from 12 to
     at most 48 panels on the 16-u-panel grid, whose finer pass is kept as
-    level 16; every level uses them, so no value depends on call order."""
+    level 16; every level uses them, so no value depends on call order.
+    f is evaluated in blocks of u-points (``in_row_blocks``), so a fine
+    level's (u x transverse) grid is never held whole."""
     n = f.dimension
     extent = f.radius * math.sqrt(n)
     tangents = np.asarray(_orthonormal_frame(omega)[1:])  # (n-1, n)
@@ -177,10 +186,14 @@ def _weighted_projection(f: SmoothRapid, omega, degree: int, abs_tol: float):
         if n == 1:
             return rule, np.asarray(f(rule.points[:, None] * omega[0])) * rule.weights
         vpts, vw = tensor_grid([CompositeRule(-extent, extent, trans_panels, 8)] * (n - 1))
-        pts = rule.points[:, None, None] * np.asarray(omega)[None, None, :] \
-            + (vpts @ tangents)[None, :, :]
-        vals = np.asarray(f(pts.reshape(-1, n))).reshape(len(rule.points), -1)
-        return rule, (vals @ vw) * rule.weights
+        plane = vpts @ tangents
+
+        def rows(u):
+            pts = u[:, None, None] * np.asarray(omega) + plane
+            return np.asarray(f(pts.reshape(-1, n))).reshape(len(u), -1) @ vw
+
+        return rule, in_row_blocks(rows, rule.points, len(vw), _PROJECTION_BLOCK) \
+            * rule.weights
 
     def weighted(u_panels):
         nonlocal trans
@@ -205,16 +218,11 @@ def _delta_combo_slice(f: DeltaCombo, omega) -> Hyperfunction1D:
     for adot, m, c in _projected_terms(f, omega):
         supports.add(round(adot, 12))
         at = adot
-        amp = c * (-1.0 / TWO_PI_I) * (-1.0) ** m * math.factorial(m)
-        coeffs[m + 1] = coeffs.get(m + 1, 0) + amp
+        coeffs[m] = coeffs.get(m, 0) + c
     if len(supports) > 1:
         raise NotImplementedError(
             "sources with distinct projected supports need one slice per point")
-    total = hy.laurent_polynomial(coeffs, at)
-    return Hyperfunction1D(
-        f_plus=total, f_minus=total, strip_plus=math.inf, strip_minus=math.inf,
-        growth=GrowthClass.tempered(-1.0), point_support=supports.pop(),
-        label=f"radon({f.label})")
+    return hy.delta_combination(coeffs, at, label=f"radon({f.label})")
 
 
 def radon_transform(f: MultiDimFunction, omega, abs_tol: float = 1e-9) -> RadonSlice:

@@ -41,35 +41,34 @@ __all__ = [
 # smooth fields on the Fourier side
 
 
+_TABLE_KNOTS = 2048  # spline knots of a tabulated field
+
+
 @dataclass(frozen=True)
 class SmoothField:
-    """Evaluator xi -> complex with derivative access up to a cap."""
+    """Evaluator xi -> complex, with the derivative orders it supports."""
 
     evaluator: Callable  # (xi, order) -> complex / array
     growth: GrowthClass = GrowthClass.infra_exponential()
-    derivative_order_cap: int = 8
     label: str = ""
     cheap: bool = False  # True when evaluation is closed-form, not quadrature
     table: Optional[Callable] = None  # vectorized evaluation on a batch of xi
 
     def __call__(self, xi, order: int = 0):
-        if order > self.derivative_order_cap:
-            raise ValueError(
-                f"derivative order {order} exceeds cap {self.derivative_order_cap}")
         return self.evaluator(xi, order)
 
-    def tabulate(self, lo: float, hi: float, n: int = 2048) -> "SmoothField":
-        """Spline-backed copy; derivatives come from the spline."""
-        grid = np.linspace(lo, hi, n)
+    def tabulate(self, lo: float, hi: float) -> "SmoothField":
+        """Order-0 copy backed by a cubic spline on [lo, hi]."""
+        grid = np.linspace(lo, hi, _TABLE_KNOTS)
         spline = CubicSpline(grid, np.asarray(self.evaluator(grid, 0), dtype=complex))
 
         def evaluator(xi, order=0):
-            s = spline if order == 0 else spline.derivative(order)
-            return s(np.clip(np.real(xi), lo, hi))
+            if order:
+                raise NotImplementedError("tabulated fields expose only order 0")
+            return spline(np.clip(np.real(xi), lo, hi))
 
-        return SmoothField(evaluator, growth=self.growth,
-                           derivative_order_cap=min(self.derivative_order_cap, 3),
-                           label=f"tab({self.label})", cheap=True)
+        return SmoothField(evaluator, growth=self.growth, label=f"tab({self.label})",
+                           cheap=True)
 
 
 @dataclass(frozen=True)
@@ -100,30 +99,21 @@ class AsymptoticSum:
 
     def realize(self) -> Hyperfunction1D:
         """The delta-combination as one delta-like hyperfunction at 0."""
-        total = hy.laurent_polynomial(
-            {n + 1: c * (-1.0 / TWO_PI_I) * (-1.0) ** n * math.factorial(n)
-             for n, c in enumerate(self.coefficients) if c != 0})
-        return Hyperfunction1D(
-            f_plus=total, f_minus=total, strip_plus=math.inf, strip_minus=math.inf,
-            growth=GrowthClass.tempered(-1.0), point_support=0.0,
-            label=f"S^{self.order}({self.label})")
-
-    def pair_with(self, phi: TestFunction) -> complex:
-        return sum(c * (-1) ** n * phi.derivative_at(0.0, n)
-                   for n, c in enumerate(self.coefficients))
+        return hy.delta_combination(dict(enumerate(self.coefficients)),
+                                    label=f"S^{self.order}({self.label})")
 
 
 # ---------------------------------------------------------------------------
 # Laurent data of delta-like hyperfunctions (closed-form transform route)
 
 
-def _laurent_coefficients(f: Hyperfunction1D, m_max: int = 64,
-                          radius: float = 0.4, tol: float = 1e-15):
-    """Coefficients a_m of (z - x0)^(-m), m = 1.., of the defining function."""
+def _laurent_coefficients(f: Hyperfunction1D):
+    """Coefficients a_m of (z - x0)^(-m), m = 1..64, of the defining function,
+    on a circle of radius 0.4; trailing ones below 1e-15 are dropped."""
     x0 = f.point_support
-    n = 1024
+    n, m_max, tol = 1024, 64, 1e-15
     theta = 2.0 * math.pi * np.arange(n) / n
-    w = radius * np.exp(1j * theta)
+    w = 0.4 * np.exp(1j * theta)
     fv = hy._eval_branch(f.f_plus, x0 + w)
     ms = np.arange(1, m_max + 1)
     # a_m = (1/2 pi i) contour integral F (z-x0)^(m-1) dz, trapezoid rule
@@ -243,8 +233,8 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
     return SmoothField(hat, label=f"ft({f.label})", table=table, growth=growth)
 
 
-def inverse_fourier(g: SmoothField, label: str = "", abs_tol: float = 1e-10,
-                    tabulate_n: int = 2048) -> Hyperfunction1D:
+def inverse_fourier(g: SmoothField, label: str = "",
+                    abs_tol: float = 1e-10) -> Hyperfunction1D:
     """Hyperfunction with F_plus(z) = (1/2 pi) int_0^X e^(i z xi) g(xi) d xi
     for Im z > 0 and F_minus(z) = -(1/2 pi) int_{-X}^0 for Im z < 0.
 
@@ -267,7 +257,7 @@ def inverse_fourier(g: SmoothField, label: str = "", abs_tol: float = 1e-10,
     gg = g
     if not g.cheap:
         X0 = xi_cutoff(0.05)
-        gg = g.tabulate(-X0, X0, tabulate_n)
+        gg = g.tabulate(-X0, X0)
 
     def branch(sign):
         def at_height(zs, y):

@@ -24,6 +24,16 @@ def test_delta_pairing_identity():
             assert abs(got - want) < 1e-10
 
 
+def test_delta_combination_pairs_as_its_derivative_sum():
+    coefficients = {0: 2.0, 1: -1.0, 3: 0.5}
+    f = hy.delta_combination(coefficients, at=0.3)
+    assert f.point_support == 0.3
+    for phi in SUITE:
+        want = sum(c * (-1.0) ** n * phi.derivative_at(0.3, n)
+                   for n, c in coefficients.items())
+        assert abs(hy.pair(f, phi) - want) < 1e-10, phi.label
+
+
 def test_shifted_delta():
     f = hy.delta_derivative(0, at=0.7)
     phi = SUITE[0]

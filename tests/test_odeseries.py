@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 import hypercalc.corpus as cp
+import hypercalc.expr as ex
 import hypercalc.hyper as hy
 import hypercalc.odeseries as od
+from hypercalc.growth import GrowthClass
 
 L = cp.example_operator()
 SUITE = cp.test_suite()
@@ -74,6 +76,28 @@ def test_assemble_truncated_label_for_generic_tail():
                              n_max=6, lost_degrees=())
     f = od.assemble(s, admissible=True)
     assert "[truncated]" in f.label
+
+
+def test_assemble_fp_truncated_tail():
+    coefficients = {0: 2, 1: Fraction(1, 3), 3: -0.25}
+    f = od.assemble(od.FormalLaurentTail("fp", coefficients, n_max=4), label="g")
+    half = ex.simplify(ex.Mul(ex.Const(0.5), hy.laurent_polynomial(coefficients)))
+    assert f.f_plus == half and f.f_minus == ex.simplify(ex.Neg(half))
+    assert f.growth == GrowthClass.tempered(0.0) and f.point_support is None
+    assert f.label == "g [truncated]"
+    z = 0.4 + 0.7j
+    want = 0.5 * (2 + 1 / (3 * z) - 0.25 / z ** 3)
+    assert abs(complex(f.plus(z)) - want) < 1e-14
+    assert abs(complex(f.minus(z)) + want) < 1e-14
+
+
+@pytest.mark.parametrize("parity", ["fp", "delta"])
+def test_assemble_zero_tail_is_the_delta_like_zero(parity):
+    f = od.assemble(od.FormalLaurentTail(parity, {2: 0}, n_max=3))
+    assert f.f_plus == ex._ZERO and f.f_minus == ex._ZERO
+    assert f.growth == GrowthClass.tempered(-1.0) and f.point_support == 0.0
+    assert f.label == "zero"
+    assert hy.pair(f, SUITE[0]) == 0
 
 
 def test_assemble_formal_only_label():

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import hypercalc.corpus as cp
 import hypercalc.expr as ex
 import hypercalc.hyper as hy
 import hypercalc.radon as rd
-from hypercalc.quad import ConvergenceError
+from hypercalc.quad import ContourSpec, ConvergenceError
 
 MD = cp.multidim_corpus()
 SUITE = cp.test_suite()
@@ -165,6 +166,19 @@ def test_slice_projection_raises_past_transverse_cap():
     with pytest.raises(ConvergenceError, match="within 48 transverse panels"):
         sl.hyper.f_plus(np.array([0.3 + 0.5j]))
     assert time.perf_counter() - start < 5.0
+
+
+def test_projection_near_the_axis_stays_small():
+    # 1024 u-panels x 192 transverse points, projected in blocks of u-points
+    sl = rd.radon_transform(MD["gauss2"], (0.6, 0.8))
+    tracemalloc.start()
+    try:
+        value = hy.pair(sl.hyper, SUITE[0], ContourSpec(imag_offset=0.02))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value - math.pi / math.sqrt(2.0)) < 1e-8
+    assert peak <= 64 * 2 ** 20
 
 
 @pytest.mark.parametrize("label", ["gauss2", "skew_gauss2"])

@@ -23,6 +23,14 @@ def test_fourier_of_delta_family():
     assert abs(got - (1j * 2.0) ** 2) < 1e-10
 
 
+def test_tenth_transform_derivative_is_the_tenth_moment():
+    # hat f^(n)(0) = (-i)^n mu^n; mu^10 of exp(-x^2/2) is sqrt(2 pi) 9!!
+    got = 1j ** 10 * sp.fourier_transform(CORPUS["gaussian"])(0.0, order=10)
+    want = math.sqrt(2.0 * math.pi) * 945.0
+    assert abs(got - want) <= 1e-10 * want
+    assert abs(sp.moment(CORPUS["gaussian"], 10) - want) <= 1e-10 * want
+
+
 def test_fourier_of_sech_closed_form():
     fhat = sp.fourier_transform(CORPUS["sech"])
     for xi in (0.0, 1.0, -2.5):
