@@ -26,7 +26,15 @@ from . import spectral as sp
 from .quad import ContourSpec, adaptive_interval
 
 __all__ = ["CheckResult", "run_all", "report_json", "direction_set", "worker_count",
-           "CHECKS"]
+           "CHECKS", "TOL_DELTA", "TOL_ROUND_TRIP", "TOL_ORACLE", "TOL_RESIDUAL",
+           "SLOPE_MARGIN"]
+
+# pass criteria, shared with the command line's checks
+TOL_DELTA = 1e-8  # pairings of delta derivatives against exact derivatives
+TOL_ROUND_TRIP = 1e-5  # relative agreement of two routes to the same value
+TOL_ORACLE = 1e-6  # against closed forms and independent quadrature
+TOL_RESIDUAL = 1e-7  # remainder moments and ODE residuals
+SLOPE_MARGIN = 0.25  # allowed excess of a fitted log-log slope over -(N + 2)
 
 
 @dataclass
@@ -76,7 +84,7 @@ def check_delta_calculus(seed: int) -> CheckResult:
             got = hy.pair(f, phi)
             want = (-1.0) ** n * phi.derivative_at(0.0, n)
             worst = max(worst, abs(got - want))
-    return CheckResult(1, "delta calculus pair(delta^(n), phi)", worst <= 1e-8,
+    return CheckResult(1, "delta calculus pair(delta^(n), phi)", worst <= TOL_DELTA,
                        worst)
 
 
@@ -124,7 +132,7 @@ def check_fourier_round_trip(seed: int) -> CheckResult:
 
     oracle, _, _ = adaptive_interval(integrand, -40.0, 40.0, 1e-12, "sech oracle at xi=1")
     delta_hat = abs(complex(np.asarray(fhat(1.0))) - oracle)
-    passed = worst <= 1e-5 and delta_hat <= 1e-6
+    passed = worst <= TOL_ROUND_TRIP and delta_hat <= TOL_ORACLE
     return CheckResult(3, "Fourier round trip + sech oracle at xi=1", passed,
                        max(worst, delta_hat), {"sech_hat_err": delta_hat})
 
@@ -139,7 +147,8 @@ def check_moment_duality(seed: int) -> CheckResult:
             mu = sp.moment(f, k)
             dual = (1j) ** k * complex(np.asarray(fhat(0.0, order=k)))
             worst = max(worst, abs(dual - mu) / (1.0 + abs(mu)))
-    return CheckResult(4, "moment-derivative duality k<=6", worst <= 1e-5, worst)
+    return CheckResult(4, "moment-derivative duality k<=6", worst <= TOL_ROUND_TRIP,
+                       worst)
 
 
 def check_expansion_remainder(seed: int) -> CheckResult:
@@ -149,7 +158,7 @@ def check_expansion_remainder(seed: int) -> CheckResult:
         rem = sp.remainder_moments(corpus[label],
                                    sp.asymptotic_sum(corpus[label], 4))
         worst = max(worst, max(abs(r) for r in rem))
-    return CheckResult(5, "expansion remainder moments N<=4", worst <= 1e-7,
+    return CheckResult(5, "expansion remainder moments N<=4", worst <= TOL_RESIDUAL,
                        worst)
 
 
@@ -158,9 +167,9 @@ def check_parametric_order(seed: int) -> CheckResult:
     suite = cp.test_suite()
     fit1 = sp.parametric_order_check(corpus["sech"], suite[0], 2)
     fit2 = sp.parametric_order_check(corpus["sech"], suite[1], 1)
-    ok = (not fit1.vacuous and fit1.slope <= -(2 + 2) + 0.25
+    ok = (not fit1.vacuous and fit1.slope <= -(2 + 2) + SLOPE_MARGIN
           and fit1.slope <= -(2 + 3) + 0.5
-          and not fit2.vacuous and fit2.slope <= -(1 + 2) + 0.25)
+          and not fit2.vacuous and fit2.slope <= -(1 + 2) + SLOPE_MARGIN)
     return CheckResult(6, "parametric order slopes", ok, None,
                        {"slope_even": fit1.slope, "slope_generic": fit2.slope})
 
@@ -174,7 +183,7 @@ def check_moment_realization(seed: int) -> CheckResult:
         for n, target in enumerate(mu):
             got = sp.moment(real.hyperfunction, n)
             worst = max(worst, abs(got - target))
-    return CheckResult(7, "moment realization, 5 random sequences", worst <= 1e-6,
+    return CheckResult(7, "moment realization, 5 random sequences", worst <= TOL_ORACLE,
                        worst)
 
 
@@ -198,7 +207,7 @@ def check_radon_two_route(seed: int) -> CheckResult:
     sl = rd.radon_transform(md["gauss2"], (1.0, 0.0))
     v = hy.pair(sl.hyper, phi)
     oracle_err = abs(v - math.pi / math.sqrt(2.0))
-    passed = worst <= 1e-5 and oracle_err <= 1e-6
+    passed = worst <= TOL_ROUND_TRIP and oracle_err <= TOL_ORACLE
     return CheckResult(8, "Radon two-route agreement + Gaussian oracle", passed,
                        worst, {"gaussian_slice_err": oracle_err})
 
@@ -225,7 +234,7 @@ def check_helgason(seed: int) -> CheckResult:
                 return CheckResult(9, "Helgason moments", False, None,
                                    {"parity_failure": label})
     return CheckResult(9, "Helgason polynomials vs slice moments k<=4",
-                       worst <= 1e-5, worst)
+                       worst <= TOL_ROUND_TRIP, worst)
 
 
 def check_radon_expansion(seed: int) -> CheckResult:
@@ -249,7 +258,7 @@ def check_radon_expansion(seed: int) -> CheckResult:
         for k in range(7):
             if expn.coefficient(k, omq) != rd.example_point_coefficient(src, omq, k):
                 exact_ok = False
-    passed = worst <= 1e-6 and exact_ok
+    passed = worst <= TOL_ORACLE and exact_ok
     return CheckResult(10, "Radon expansion remainders + exact coefficients",
                        passed, worst, {"symbolic_exact": exact_ok})
 
@@ -288,7 +297,7 @@ def check_ode_example(seed: int) -> CheckResult:
     r2 = od.residual_check(f2, L, suite)
     r_delta = od.residual_check(hy.delta_derivative(0), L, suite)
     passed = (ok_d and ok_h and sol1.admissible and sol2.admissible
-              and r1 <= 1e-7 and r2 <= 1e-7 and r_delta > 1e-2)
+              and r1 <= TOL_RESIDUAL and r2 <= TOL_RESIDUAL and r_delta > 1e-2)
     return CheckResult(12, "formal ODE series end to end", passed,
                        max(r1, r2),
                        {"exact_d": ok_d, "exact_h": ok_h,

@@ -123,7 +123,8 @@ class LocalOperator:
     Finitely many coefficients are stored; an optional ``tail`` generator
     extends them to an infinite-order operator, which must satisfy the root
     condition (|b_n| n!)^(1/n) -> 0 to act locally.  Alternatively the
-    operator may be given purely through its Fourier ``symbol``.
+    operator may be given purely through its Fourier ``symbol_fn``, with no
+    coefficients: it then has no finite order and cannot be applied.
     """
 
     coefficients: tuple = (1.0,)
@@ -140,7 +141,8 @@ class LocalOperator:
 
     @property
     def finite_order(self) -> Optional[int]:
-        return None if self.tail is not None else len(self.coefficients) - 1
+        return (None if self.tail is not None or not self.coefficients
+                else len(self.coefficients) - 1)
 
     def symbol(self, zeta):
         """J evaluated on the Fourier side: sum_n b_n (i zeta)^n.
@@ -207,10 +209,12 @@ class LocalOperator:
         if self.tail is not None:
             gen = self.tail
             tail = lambda n: gen(n) * (-1) ** n
-        return LocalOperator(coeffs, tail=tail, label=f"{self.label}*")
+        fn = self.symbol_fn  # J*(zeta) = J(-zeta)
+        return LocalOperator(coeffs, tail=tail, label=f"{self.label}*",
+                             symbol_fn=None if fn is None else lambda zeta: fn(-zeta))
 
     def apply_to_expr(self, e: ex.Expr) -> ex.Expr:
-        if self.tail is not None:
+        if self.finite_order is None:
             raise AdmissibilityError("symbolic application needs a finite operator")
         out = ex._ZERO
         for n, c in enumerate(self.coefficients):
@@ -460,6 +464,8 @@ def apply_local_operator(op: LocalOperator, f: Hyperfunction1D) -> Hyperfunction
         return replace(f, f_plus=op.apply_to_expr(f.f_plus),
                        f_minus=op.apply_to_expr(f.f_minus),
                        label=f"{op.label or 'J'}({f.label})")
+    if op.tail is None:  # known only through its symbol
+        raise AdmissibilityError(f"{op.label or 'J'} has no coefficients to apply")
     if not f.is_asymptotic:
         raise AdmissibilityError(
             "infinite-order operators require an asymptotic hyperfunction")

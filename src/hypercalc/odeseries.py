@@ -30,7 +30,7 @@ from .hyper import TWO_PI_I, Hyperfunction1D, TestFunction, laurent_polynomial, 
 
 __all__ = [
     "PolyCoeffOperator", "FormalLaurentTail", "apply_operator", "solve_series",
-    "SeriesSolution", "assemble", "residual_check", "adjoint_test_expr",
+    "SeriesSolution", "assemble", "residual_check",
 ]
 
 
@@ -304,8 +304,3 @@ def residual_check(f: Hyperfunction1D, L: PolyCoeffOperator,
                                 growth=phi.growth, label=f"L*({phi.label})")
         worst = max(worst, abs(pair(f, phi_star)))
     return worst
-
-
-def adjoint_test_expr(L: PolyCoeffOperator, phi: ex.Expr) -> ex.Expr:
-    """Expose L* phi for direct inspection and quadrature cross-checks."""
-    return L.adjoint_applied(phi)

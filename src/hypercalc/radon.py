@@ -551,11 +551,7 @@ def support_check(moments, S: float, eps_list: Sequence[float] = (1e-3, 0.1, 0.5
     bound the supplied sequence is treated as the complete series (all later
     moments zero) and must itself pass a ratio test.
     """
-    if isinstance(moments, sp.MomentSequence):
-        bound = bound or moments.bound
-        values = list(moments.values)
-    else:
-        values = list(moments)
+    values = list(moments)
     if S <= 0:
         raise ValueError("support radius S must be positive")
     if bound is not None:

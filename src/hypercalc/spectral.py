@@ -32,7 +32,7 @@ from .quad import (CompositeRule, adaptive_interval, by_height, refine,
 __all__ = [
     "SmoothField", "MomentSequence", "AsymptoticSum", "fourier_transform",
     "inverse_fourier", "moment", "asymptotic_sum", "parametric_order_check",
-    "taylor_of_ft", "realize_moments", "build_multiplier",
+    "realize_moments", "build_multiplier",
     "structural_representation",
 ]
 
@@ -75,7 +75,6 @@ class SmoothField:
 class MomentSequence:
     values: tuple
     label: str = ""
-    bound: Optional[tuple] = None  # (M, R) with |mu_k| <= M R^k
 
     def __getitem__(self, k):
         return self.values[k]
@@ -346,12 +345,6 @@ def parametric_order_check(f: Hyperfunction1D, phi: TestFunction, N: int,
     return SlopeFit(slope=slope, residuals=tuple(pts), vacuous=False)
 
 
-def taylor_of_ft(f: Hyperfunction1D, N: int) -> tuple:
-    """Taylor coefficients of hat f at 0: {(-i)^n mu^n / n!}."""
-    return tuple((-1j) ** n * moment(f, n) / math.factorial(n)
-                 for n in range(N + 1))
-
-
 # ---------------------------------------------------------------------------
 # moment realization
 
@@ -449,7 +442,7 @@ def build_multiplier(phi_table: Callable[[float], float],
             out = out * np.prod(1.0 + np.multiply.outer(z2, chunk), axis=-1)
         return out if np.ndim(zeta) else complex(out)
 
-    coefficients = (1.0,)
+    coefficients = ()  # known only through its symbol
     if K_terms <= 24:
         p = [1.0]  # polynomial in zeta^2
         for im2 in inv_m2:

@@ -4,6 +4,8 @@ import math
 import pytest
 
 import hypercalc.cli as cli
+import hypercalc.corpus as cp
+import hypercalc.expr as ex
 
 
 def run(argv, tmp_path, extra=()):
@@ -56,11 +58,9 @@ def test_expand_reports_known_coefficient(tmp_path):
 
 def test_report_determinism(tmp_path):
     a1 = cli.main(["ode-solve", "--op", "t^2*D-1", "--basis", "delta",
-                   "--order", "12", "--seed", "7",
-                   "--output", str(tmp_path / "r1")])
+                   "--order", "12", "--output", str(tmp_path / "r1")])
     a2 = cli.main(["ode-solve", "--op", "t^2*D-1", "--basis", "delta",
-                   "--order", "12", "--seed", "7",
-                   "--output", str(tmp_path / "r2")])
+                   "--order", "12", "--output", str(tmp_path / "r2")])
     assert a1 == 0 and a2 == 0
     for suffix in ("json", "csv"):
         b1 = (tmp_path / "r1" / f"ode_solve.{suffix}").read_bytes()
@@ -68,12 +68,23 @@ def test_report_determinism(tmp_path):
         assert b1 == b2
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["pair", "--label", "nonexistent",
                      "--output", str(tmp_path / "x")]) == 2
     assert cli.main(["pair", "--abs-tol", "-1",
                      "--output", str(tmp_path / "y")]) == 2
+    # an option the subcommand does not read, a missing corpus file and a
+    # malformed expression
+    capsys.readouterr()
+    assert cli.main(["moments", "--abs-tol", "1e-2",
+                     "--output", str(tmp_path / "z")]) == 2
+    assert "unrecognized arguments: --abs-tol" in capsys.readouterr().err
+    assert cli.main(["pair", "--input", str(tmp_path / "missing.json"),
+                     "--output", str(tmp_path / "z")]) == 2
+    assert cli.main(["invfourier", "--field", "exp((",
+                     "--output", str(tmp_path / "z")]) == 2
+    assert not (tmp_path / "z").exists()
 
 
 def test_failed_check_exits_1(tmp_path):
@@ -114,9 +125,63 @@ def test_config_file_merges_under_flags(tmp_path):
 
 def test_config_validation_messages():
     with pytest.raises(cli.UsageError) as exc:
-        cli.JobConfig(command="pair", eta=-1.0, abs_tol=0.0).validate()
+        cli.resolve_options("pair", {"eta": -1.0, "abs_tol": 0.0})
     msg = str(exc.value)
-    assert "contour.eta" in msg and "contour.abs_tol" in msg
+    assert "eta: expected a positive number" in msg
+    assert "abs_tol: expected a positive number" in msg
+
+
+def test_every_subcommand_runs_its_defaults_and_reads_every_option(
+        tmp_path, monkeypatch):
+    resolved = {}
+    resolve = cli.resolve_options
+
+    def spy(command, given):
+        resolved[command] = resolve(command, given)
+        return resolved[command]
+
+    monkeypatch.setattr(cli, "resolve_options", spy)
+    # test_acceptance runs the battery itself; here verify-all's is empty,
+    # so only its option handling runs
+    monkeypatch.setattr(cli.ac, "run_all", lambda seed, echo=None: [])
+    for command in cli.SUBCOMMANDS:
+        code, out = run([command], tmp_path / command)
+        assert code == 0, command
+        name = command.replace("-", "_")
+        assert (out / f"{name}.json").is_file() and (out / f"{name}.csv").is_file()
+        opts = resolved[command]
+        assert opts.read == set(opts), (command, set(opts) - opts.read)
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("moments", {"labl": "gaussian", "ordr": 1}, "unknown key 'labl'"),
+    ("pair", {"params": {"label": "sech"}}, "unknown key 'params'"),
+    ("support-check", {"S": "x"}, "S: expected a positive number, got 'x'"),
+    ("multiplier", {"zeta_max": "big"}, "zeta_max: expected a positive number"),
+])
+def test_unknown_keys_and_malformed_values_exit_2(tmp_path, capsys, command,
+                                                  config, message):
+    cfgfile = tmp_path / "job.json"
+    cfgfile.write_text(json.dumps(config))
+    code, _ = run([command, "--config", str(cfgfile)], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_corpus_file_round_trip(tmp_path):
+    exprs = {label: f for label, f in cp.default_corpus().items()
+             if isinstance(f.f_plus, ex.Expr) and isinstance(f.f_minus, ex.Expr)}
+    path = tmp_path / "corpus.json"
+    cp.save_corpus(exprs, path)
+    assert set(cp.load_corpus(path)) == set(exprs)
+    code1, out1 = run(["pair", "--label", "sech"], tmp_path / "builtin")
+    code2, out2 = run(["pair", "--input", str(path), "--label", "sech"],
+                      tmp_path / "file")
+    assert code1 == code2 == 0
+    for suffix in ("json", "csv"):
+        assert ((out1 / f"pair.{suffix}").read_bytes()
+                == (out2 / f"pair.{suffix}").read_bytes())
 
 
 def test_parse_operator():
@@ -126,6 +191,8 @@ def test_parse_operator():
     assert set(L2.terms) == {(1, 2, 1), (1, 0, 3)}
     with pytest.raises(cli.UsageError):
         cli.parse_operator("t^^2")
+    with pytest.raises(cli.UsageError):
+        cli.parse_operator("t-t")
 
 
 def test_gevrey_subcommand(tmp_path):

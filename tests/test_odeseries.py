@@ -136,7 +136,7 @@ def test_residual_check_flags_non_solution():
 
 def test_adjoint_application():
     phi = SUITE[0]
-    g = od.adjoint_test_expr(L, phi.expr)
+    g = L.adjoint_applied(phi.expr)
     import hypercalc.expr as ex
     # L* phi = -d/dt(t^2 phi) - phi; check at a sample point
     t = 0.7

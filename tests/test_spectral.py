@@ -145,6 +145,26 @@ def test_build_multiplier_polynomial_case():
     # no sign change on the real axis, where the product is manifestly >= 1
     assert all(Jv.real >= 1.0 - 1e-12 for z, Jv in info.samples
                if abs(z.imag) < 1e-12)
+    # the exact polynomial 1 - (17/16) D^2 + (1/16) D^4 still applies:
+    # <J(D) delta, gauss> = 1 + (17/16) 2 + (1/16) 12
+    assert J.finite_order == 4
+    got = hy.pair(hy.apply_local_operator(J, hy.delta_derivative(0)), SUITE[0])
+    assert abs(got - 3.875) < 1e-10
+
+
+def test_symbol_only_operator_is_not_applied_as_the_identity():
+    # 208 621 factors: J is known only through its symbol, J(1) = 2.428
+    J, _ = sp.build_multiplier(math.sqrt)
+    assert J.finite_order is None
+    assert abs(J.symbol(1.0) - 2.42818979) < 1e-8
+    with pytest.raises(hy.AdmissibilityError):
+        hy.apply_local_operator(J, hy.delta_derivative(0))
+    with pytest.raises(hy.AdmissibilityError):
+        J.adjoint().apply_to_expr(SUITE[0].expr)  # reconstruct_pairing's step
+    # the adjoint keeps the symbol, J*(zeta) = J(-zeta)
+    assert J.adjoint().symbol(1.0) == J.symbol(1.0)
+    odd = hy.LocalOperator((), symbol_fn=lambda zeta: 1.0 + 1j * zeta)
+    assert odd.adjoint().symbol(2.0) == 1.0 - 2j
 
 
 def test_structural_representation_of_delta():
