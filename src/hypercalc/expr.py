@@ -310,7 +310,12 @@ class _Parser:
             if kind == _TOK_OP and val in "*/":
                 self.next()
                 rhs = self.factor()
-                e = Mul(e, rhs) if val == "*" else Div(e, rhs)
+                if val == "/":
+                    e = Div(e, rhs)
+                elif isinstance(e, Const) and isinstance(rhs, Const):
+                    e = Const(e.value * rhs.value)  # as printed, e.g. (0.5*i)
+                else:
+                    e = Mul(e, rhs)
             else:
                 return e
 
@@ -318,7 +323,8 @@ class _Parser:
         kind, val, at = self.peek()
         if kind == _TOK_OP and val == "-":
             self.next()
-            return Neg(self.factor())
+            arg = self.factor()
+            return Const(-arg.value) if isinstance(arg, Const) else Neg(arg)
         e = self.base()
         kind, val, _ = self.peek()
         if kind == _TOK_OP and val == "^":
@@ -407,7 +413,7 @@ def _to_str(e, level):
     elif isinstance(e, Div):
         s, prec = f"{_to_str(e.left, 1)}/{_to_str(e.right, 2)}", 1
     elif isinstance(e, Neg):
-        s, prec = f"(-{_to_str(e.arg, 1)})", 3
+        s, prec = f"(-{_to_str(e.arg, 2)})", 3
     elif isinstance(e, Pow):
         s, prec = f"{_to_str(e.base, 3)}^{e.exponent}", 2
     elif isinstance(e, Call):
@@ -420,7 +426,11 @@ def _to_str(e, level):
 
 
 def print_expr(e: Expr) -> str:
-    """Render the tree so that ``parse_expr(print_expr(t)) == t`` for parser output."""
+    """Render the tree as text that ``parse_expr`` reads back to a tree that
+    prints the same.  The parser folds a negated constant and a product of
+    two constants, such as ``(0.5*i)``, into one ``Const``, so for parser
+    output ``parse_expr(print_expr(t)) == t`` up to the sign of a zero part
+    of a constant."""
     return _to_str(e, 0)
 
 

@@ -1,9 +1,9 @@
 """Adaptive quadrature along horizontal contour lines and over boxes in R^n.
 
-The line integrator bisects in rounds, with an embedded Gauss-Legendre pair
-(10/21 points) per panel: a round evaluates all its new panels in one call
-of the integrand.  Truncation tails are certified from the declared growth
-class of the integrand.
+The line integrator bisects in rounds, with the nested Gauss-Kronrod 10/21
+rule per panel (21 points, the 10 Gauss points among them): a round
+evaluates all its new panels in one call of the integrand.  Truncation
+tails are certified from the declared growth class of the integrand.
 Exponential sums over a composite Gauss-Legendre rule factor each node
 m_p + h x_k into its panel midpoint and offset, and the equally spaced
 midpoints into a coarse and a fine step, so they take about 2 sqrt(panels)
@@ -210,11 +210,30 @@ def in_row_blocks(rows: Callable, points, width: int, entries: int = _ROW_BLOCK)
 
 
 # ---------------------------------------------------------------------------
-# embedded Gauss-Legendre pair
+# nested Gauss-Kronrod 10/21 rule
 
-_XL, _WL = np.polynomial.legendre.leggauss(10)
-_XH, _WH = np.polynomial.legendre.leggauss(21)
-_X_PAIR = np.concatenate([_XL, _XH])
+# QUADPACK's qk21 table (Piessens et al. 1983): the Kronrod nodes x >= 0 with
+# their weights, x = 1 side first.  The second, fourth, ... tenth node are the
+# nodes x > 0 of the 10-point Gauss rule, whose weights are _GAUSS10.
+_QK21 = np.array([
+    (0.99565716302580808, 0.011694638867371874),
+    (0.97390652851717172, 0.032558162307964727),
+    (0.93015749135570823, 0.054755896574351996),
+    (0.86506336668898451, 0.075039674810919953),
+    (0.78081772658641690, 0.093125454583697606),
+    (0.67940956829902441, 0.10938715880229764),
+    (0.56275713466860468, 0.12349197626206585),
+    (0.43339539412924719, 0.13470921731147333),
+    (0.29439286270146020, 0.14277593857706008),
+    (0.14887433898163121, 0.14773910490133849),
+    (0.0, 0.14944555400291691),
+])
+_GAUSS10 = np.array([0.066671344308688138, 0.14945134915058059, 0.21908636251598204,
+                     0.26926671930999636, 0.29552422471475287])
+# mirrored onto [-1, 1] in increasing x: the odd-indexed nodes are the Gauss nodes
+_XK = np.concatenate([-_QK21[:-1, 0], _QK21[::-1, 0]])
+_WK = np.concatenate([_QK21[:-1, 1], _QK21[::-1, 1]])
+_WG = np.concatenate([_GAUSS10, _GAUSS10[::-1]])
 SUBDIVISION_CAP = 4000  # bisections adaptive_interval may make before it raises
 
 
@@ -224,10 +243,13 @@ def adaptive_interval(f, a, b, abs_tol, what: str = "integral",
 
     Round 0 evaluates the panels between a, b and the breakpoints inside;
     each later round bisects, largest error first, the fewest panels that
-    leave the rest with errors summing to at most abs_tol / 2.  A round
-    evaluates both rules of all its new panels in one call of f.  Stops when
-    the summed error is at most ``abs_tol``; raises ``ConvergenceError``
-    before a round would take the bisections past ``SUBDIVISION_CAP``.
+    leave the rest with errors summing to at most abs_tol / 2.  A panel
+    takes the 21 nodes of the Gauss-Kronrod rule: its value is the Kronrod
+    sum K21 and its error |K21 - G10|, G10 the Gauss rule on the 10 Gauss
+    nodes among them.  A round evaluates all its new panels in one call of
+    f.  Stops when the summed error is at most ``abs_tol``; raises
+    ``ConvergenceError`` before a round would take the bisections past
+    ``SUBDIVISION_CAP``.
     Returns ``(value, err, nodes)``, summed over the panels in x order.
     """
     edges = np.array(sorted({float(a), float(b), *[p for p in breakpoints if a < p < b]}))
@@ -236,10 +258,10 @@ def adaptive_interval(f, a, b, abs_tol, what: str = "integral",
     nodes = splits = 0
     while True:
         mid, half = 0.5 * (new_lo + new_hi), 0.5 * (new_hi - new_lo)
-        y = np.asarray(f((mid[:, None] + half[:, None] * _X_PAIR).ravel()))
-        y = y.reshape(len(mid), len(_X_PAIR))
-        low = half * (_WL * y[:, :len(_WL)]).sum(axis=1)
-        high = half * (_WH * y[:, len(_WL):]).sum(axis=1)
+        y = np.asarray(f((mid[:, None] + half[:, None] * _XK).ravel()))
+        y = y.reshape(len(mid), len(_XK))
+        high = half * (_WK * y).sum(axis=1)
+        low = half * (_WG * y[:, 1::2]).sum(axis=1)
         nodes += y.size
         lo, hi = np.append(lo, new_lo), np.append(hi, new_hi)
         val, err = np.append(val, high), np.append(err, np.abs(high - low))

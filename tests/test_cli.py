@@ -6,6 +6,7 @@ import pytest
 import hypercalc.cli as cli
 import hypercalc.corpus as cp
 import hypercalc.expr as ex
+import hypercalc.hyper as hy
 
 
 def run(argv, tmp_path, extra=()):
@@ -174,7 +175,11 @@ def test_corpus_file_round_trip(tmp_path):
              if isinstance(f.f_plus, ex.Expr) and isinstance(f.f_minus, ex.Expr)}
     path = tmp_path / "corpus.json"
     cp.save_corpus(exprs, path)
-    assert set(cp.load_corpus(path)) == set(exprs)
+    loaded = cp.load_corpus(path)
+    assert cp.corpus_to_json(loaded) == cp.corpus_to_json(exprs)
+    gauss = next(t for t in cp.test_suite() if t.label == "gauss")
+    for label, f in exprs.items():
+        assert complex(hy.pair(loaded[label], gauss)) == complex(hy.pair(f, gauss)), label
     code1, out1 = run(["pair", "--label", "sech"], tmp_path / "builtin")
     code2, out2 = run(["pair", "--input", str(path), "--label", "sech"],
                       tmp_path / "file")

@@ -8,6 +8,7 @@ import weakref
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import hypercalc.expr as ex
 
@@ -45,6 +46,37 @@ def test_parse_print_round_trip():
         v1 = ex.evaluate(e, {"z": z})
         v2 = ex.evaluate(again, {"z": z})
         assert abs(v1 - v2) <= 1e-12 * (1 + abs(v1))
+
+
+def test_print_parse_keeps_signs_and_complex_constants():
+    e = ex.parse_expr("exp(-(z*z)/2)")
+    assert ex.print_expr(e) == "exp((-(z*z))/2)"
+    assert ex.parse_expr(ex.print_expr(e)) is e
+    assert ex.parse_expr("(0.5*i)") is ex.Const(0.5j)
+    assert ex.parse_expr("(-0.5*i)/z").left.value == -0.5j
+    assert ex.parse_expr("-2^2") is ex.Neg(ex.Pow(ex.Const(2 + 0j), 2))
+
+
+_LEAVES = st.sampled_from([ex.Var("z"), ex.Var("x1"), ex.Const(1), ex.Const(2),
+                           ex.Const(0.5), ex.Const(3.25), ex.Const(math.pi),
+                           ex.Const(1j), ex.Const(-2), ex.Const(0.75j)])
+
+
+def _trees(children):
+    pair = st.tuples(children, children)
+    return st.one_of(
+        pair.map(lambda p: ex.Add(*p)), pair.map(lambda p: ex.Sub(*p)),
+        pair.map(lambda p: ex.Mul(*p)), pair.map(lambda p: ex.Div(*p)),
+        children.map(ex.Neg),
+        st.tuples(children, st.integers(-3, 3)).map(lambda p: ex.Pow(*p)),
+        st.tuples(st.sampled_from(ex._FUNCTIONS), children).map(lambda p: ex.Call(*p)))
+
+
+@given(st.recursive(_LEAVES, _trees, max_leaves=12))
+def test_parsed_trees_print_back_to_their_text(tree):
+    t = ex.parse_expr(ex.print_expr(tree))
+    text = ex.print_expr(t)
+    assert ex.print_expr(ex.parse_expr(text)) == text
 
 
 def test_derivative_matches_finite_difference():

@@ -1,14 +1,28 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import hypercalc.expr as ex
 from hypercalc.growth import GrowthClass
-from hypercalc.quad import (ContourSpec, ConvergenceError, DimensionError,
-                            DivergentTailError, _geometric_breakpoints,
-                            adaptive_interval, auto_radius, integrate_box,
-                            integrate_line, refine, tail_bound, verify_growth)
+from hypercalc.quad import (_WG, _WK, _XK, ContourSpec, ConvergenceError,
+                            DimensionError, DivergentTailError,
+                            _geometric_breakpoints, adaptive_interval,
+                            auto_radius, integrate_box, integrate_line, refine,
+                            tail_bound, verify_growth)
+
+
+def test_kronrod_rule_constants():
+    # a Kronrod extension of the 10-point Gauss rule is unique, so these pin it
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.sum(_WK * _XK ** k) - exact) <= 1e-15, k
+    x10, w10 = np.polynomial.legendre.leggauss(10)
+    assert np.max(np.abs(_XK[1::2] - x10)) <= 1e-15
+    assert np.max(np.abs(_WG - w10)) <= 1e-15
+    assert np.array_equal(_XK, -_XK[::-1]) and _XK[10] == 0.0
+    assert np.array_equal(_WK, _WK[::-1]) and np.array_equal(_WG, _WG[::-1])
 
 
 def test_adaptive_interval_gaussian():
@@ -36,6 +50,37 @@ def test_adaptive_interval_calls_f_once_per_round():
                                       breakpoints=_geometric_breakpoints(8.0))
     assert abs(val - math.sqrt(math.pi)) < 1e-12
     assert len(calls) <= 3 and sum(calls) == nodes
+    assert all(c % 21 == 0 for c in calls)
+
+
+# (integrand, its mpmath form, a, b, mpmath.quad's subdivision and method)
+CALIBRATION = {
+    "gauss": (lambda x: np.exp(-x * x), lambda x: mp.exp(-x * x),
+              -8, 8, [-8, 0, 8], "tanh-sinh"),
+    "gauss_cos10": (lambda x: np.exp(-x * x) * np.cos(10 * x),
+                    lambda x: mp.exp(-x * x) * mp.cos(10 * x),
+                    -8, 8, np.linspace(-8, 8, 17), "tanh-sinh"),
+    "near_pole": (lambda x: 1 / (x - 0.05j), lambda x: 1 / (x - mp.mpc(0, 0.05)),
+                  -1, 2, [-1, 0, 2], "tanh-sinh"),
+    "shifted_sech": (lambda x: 1 / np.cosh(x + 0.3j), lambda x: mp.sech(x + mp.mpc(0, 0.3)),
+                     -30, 30, [-30, -10, -3, 0, 3, 10, 30], "gauss-legendre"),
+    "lorentz": (lambda x: 1 / (1 + x * x), lambda x: 1 / (1 + x * x),
+                -50, 50, [-50, -5, 0, 5, 50], "tanh-sinh"),
+    "oscillatory_lorentz": (lambda x: np.exp(40j * x) / (1 + x * x),
+                            lambda x: mp.expj(40 * x) / (1 + x * x),
+                            -10, 10, np.linspace(-10, 10, 41), "gauss-legendre"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALIBRATION))
+def test_adaptive_interval_error_bounds_the_actual_error(name):
+    f, f_mp, a, b, cuts, method = CALIBRATION[name]
+    with mp.workdps(30):
+        exact = complex(mp.quad(f_mp, [mp.mpf(float(c)) for c in cuts], method=method))
+    for abs_tol in (1e-6, 1e-8, 1e-10, 1e-12):
+        value, err, _ = adaptive_interval(f, a, b, abs_tol)
+        assert err <= abs_tol
+        assert abs(value - exact) <= err, (abs_tol, abs(value - exact), err)
 
 
 def test_adaptive_interval_names_its_subject_at_the_cap():
