@@ -3,7 +3,9 @@ inputs used by the verification suite and the command line driver.
 
 Corpus files are JSON: a list of records with the defining-function pair as
 expression strings plus strips, growth class, and the optional point-support
-and tail-gain annotations.
+and tail-gain annotations.  A record keeps the two keys ``strip_plus`` and
+``strip_minus``: they are written equal, and a record whose two differ is
+read with the smaller, the strip both branches share.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Dict, List
 
 from . import expr as ex
 from . import radon as rd
-from .growth import GrowthClass
+from .growth import GrowthClass, GrowthError
 from .hyper import Hyperfunction1D, TestFunction, delta_derivative
 from .odeseries import PolyCoeffOperator, solve_series, assemble
 
@@ -36,19 +38,17 @@ def default_corpus() -> Dict[str, Hyperfunction1D]:
 
     sech = Hyperfunction1D(
         f_plus=ex.parse_expr("sech(z)"), f_minus=ex._ZERO,
-        strip_plus=1.4, strip_minus=1.4,
-        growth=GrowthClass.exp_decay(1.0, constant=2.0), label="sech")
+        strip=1.4, growth=GrowthClass.exp_decay(1.0, constant=2.0), label="sech")
     out["sech"] = sech
 
     out["gaussian"] = Hyperfunction1D(
         f_plus=ex.parse_expr("exp(-(z*z)/2)"), f_minus=ex._ZERO,
-        strip_plus=math.inf, strip_minus=math.inf,
-        growth=GrowthClass.exp_decay(0.5, constant=4.0), label="gaussian")
+        strip=math.inf, growth=GrowthClass.exp_decay(0.5, constant=4.0),
+        label="gaussian")
 
     out["lorentz"] = Hyperfunction1D(
         f_plus=ex.parse_expr("1/(1+z*z)"), f_minus=ex._ZERO,
-        strip_plus=0.9, strip_minus=0.9,
-        growth=GrowthClass.tempered(-2.0), tail_gain=1, label="lorentz")
+        strip=0.9, growth=GrowthClass.tempered(-2.0), tail_gain=1, label="lorentz")
 
     L = example_operator()
     sol1 = solve_series(L, "delta", Fraction(1), 30)
@@ -119,12 +119,13 @@ def corpus_to_json(corpus: Dict[str, Hyperfunction1D]) -> str:
     records = []
     for label in sorted(corpus):
         f = corpus[label]
+        strip = None if math.isinf(f.strip) else f.strip
         rec = {
             "label": label,
             "f_plus": _branch_to_str(f.f_plus),
             "f_minus": _branch_to_str(f.f_minus),
-            "strip_plus": None if math.isinf(f.strip_plus) else f.strip_plus,
-            "strip_minus": None if math.isinf(f.strip_minus) else f.strip_minus,
+            "strip_plus": strip,
+            "strip_minus": strip,
             "growth": f.growth.to_json(),
             "point_support": f.point_support,
             "tail_gain": f.tail_gain,
@@ -139,14 +140,21 @@ def corpus_from_json(text: str) -> Dict[str, Hyperfunction1D]:
         for key in ("label", "f_plus", "f_minus", "growth"):
             if key not in rec:
                 raise ValueError(f"corpus[{i}]: missing field {key!r}")
+        growth = rec["growth"]
+        if not (isinstance(growth, dict) and "kind" in growth and all(
+                type(growth.get(key, 0.0)) in (int, float)
+                for key in ("gamma", "rate", "constant"))):
+            raise ValueError(f"corpus[{i}]: growth: malformed record {growth!r}")
+        try:
+            growth = GrowthClass.from_json(growth)
+        except GrowthError as exc:
+            raise ValueError(f"corpus[{i}]: growth: {exc}") from None
         out[rec["label"]] = Hyperfunction1D(
             f_plus=ex.parse_expr(rec["f_plus"]),
             f_minus=ex.parse_expr(rec["f_minus"]),
-            strip_plus=(math.inf if rec.get("strip_plus") is None
-                        else float(rec["strip_plus"])),
-            strip_minus=(math.inf if rec.get("strip_minus") is None
-                         else float(rec["strip_minus"])),
-            growth=GrowthClass.from_json(rec["growth"]),
+            strip=min(math.inf if rec.get(key) is None else float(rec[key])
+                      for key in ("strip_plus", "strip_minus")),
+            growth=growth,
             point_support=rec.get("point_support"),
             tail_gain=int(rec.get("tail_gain", 0)),
             label=rec["label"],

@@ -345,8 +345,8 @@ class _Parser:
         kind, val, at = self.next()
         if kind == _TOK_NUM:
             x = float(val)
-            if x == int(x) and "e" not in val and "E" not in val and "." not in val:
-                return Const(complex(int(x)))
+            if not math.isfinite(x):
+                raise ParseError(f"number {val!r} out of range", at + 1)
             return Const(complex(x))
         if kind == _TOK_IDENT:
             if val == "i":
@@ -519,7 +519,7 @@ def _compile(root):
     return tuple(plan)
 
 
-def evaluate(e: Expr, env, eps_pole: float = EPS_POLE):
+def evaluate(e: Expr, env):
     """Evaluate at a point (or numpy array of points) given by ``env``.
 
     ``env`` maps coordinate names to values; a bare complex number is
@@ -537,6 +537,7 @@ def evaluate(e: Expr, env, eps_pole: float = EPS_POLE):
     stack = []
     push, pop = stack.append, stack.pop
     saved = {}
+    eps_pole = EPS_POLE
     # A binary step reads its left operand as stack[-2] before pop() takes
     # the right one; the target stack[-1] is resolved after both, so the
     # result replaces the left operand and no operand outlives the step.
@@ -672,13 +673,13 @@ def simplify(e: Expr) -> Expr:
 # Differentiation
 
 
-def _derivative(e, dkids, coord):
-    """Simplified d/d(coord) of the simplified node ``e``, given those of its
+def _derivative(e, dkids):
+    """Simplified d/dz of the simplified node ``e``, given those of its
     children: what simplifying the derivative's tree would give."""
     if isinstance(e, Const):
         return _ZERO
     if isinstance(e, Var):
-        return _ONE if e.name == coord else _ZERO
+        return _ONE if e.name == "z" else _ZERO
     if isinstance(e, Add):
         return _add(*dkids)
     if isinstance(e, Sub):
@@ -708,16 +709,15 @@ def _derivative(e, dkids, coord):
     raise TypeError(f"not an expression: {e!r}")
 
 
-def differentiate(e: Expr, order: int = 1, coordinate: str = "z") -> Expr:
-    """Symbolic derivative of the given order with respect to a coordinate."""
+def differentiate(e: Expr, order: int = 1) -> Expr:
+    """Symbolic derivative of the given order with respect to z."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     out = simplify(e)
     # a node's derivative is the same at every order: one memo serves them all
     done = {}
     for _ in range(order):
-        out = _map_distinct(out, lambda node, dkids: _derivative(node, dkids, coordinate),
-                            done)
+        out = _map_distinct(out, _derivative, done)
     return out
 
 
@@ -730,13 +730,13 @@ def substitute(e: Expr, coordinate: str, replacement: Expr) -> Expr:
     return _map_distinct(e, rule)
 
 
-def scale_argument(e: Expr, factor: complex, coordinate: str = "z") -> Expr:
+def scale_argument(e: Expr, factor: complex) -> Expr:
     """Return the tree for ``e`` with its argument scaled: z -> factor*z."""
-    return simplify(substitute(e, coordinate, Mul(Const(complex(factor)), Var(coordinate))))
+    return simplify(substitute(e, "z", Mul(Const(complex(factor)), Var("z"))))
 
 
-def finite_difference(e: Expr, z, h: float = 1e-5, coordinate: str = "z"):
-    """Central second-order difference; cross-check for `differentiate`."""
-    env_p = {coordinate: z + h}
-    env_m = {coordinate: z - h}
-    return (evaluate(e, env_p) - evaluate(e, env_m)) / (2 * h)
+def finite_difference(e: Expr, z):
+    """Central second-order difference in z with step 1e-5; cross-check for
+    `differentiate`."""
+    h = 1e-5
+    return (evaluate(e, {"z": z + h}) - evaluate(e, {"z": z - h})) / (2 * h)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,19 +40,13 @@ class AdmissibilityError(Exception):
     pass
 
 
-Branch = Union[ex.Expr, Callable]
-
-
-def _eval_branch(branch: Branch, z):
-    if isinstance(branch, ex.Expr):
-        return ex.evaluate(branch, {"z": z})
-    return branch(z)
-
-
 @dataclass(frozen=True)
 class Hyperfunction1D:
     """Defining-function pair plus declared growth.
 
+    ``f_plus`` and ``f_minus`` are callables of z, such as expressions.
+    ``strip`` is the half-width of the strip |Im z| < strip on whose upper
+    and lower halves F_plus and F_minus are holomorphic.
     ``point_support`` marks the delta-like case: both branches are
     restrictions of a single function holomorphic on the strip minus that
     real point, so pairings may deform to a circle contour around it.
@@ -61,20 +55,19 @@ class Hyperfunction1D:
     on the corpus, not inferred).
     """
 
-    f_plus: Branch
-    f_minus: Branch
-    strip_plus: float = 0.5
-    strip_minus: float = 0.5
+    f_plus: Callable
+    f_minus: Callable
+    strip: float = 0.5
     growth: GrowthClass = GrowthClass.asymptotic()
     label: str = ""
     point_support: Optional[float] = None
     tail_gain: int = 0
 
     def plus(self, z):
-        return _eval_branch(self.f_plus, z)
+        return self.f_plus(z)
 
     def minus(self, z):
-        return _eval_branch(self.f_minus, z)
+        return self.f_minus(z)
 
     @property
     def is_delta_like(self):
@@ -86,28 +79,18 @@ class Hyperfunction1D:
             return True
         return self.growth.fits_within(GrowthClass.asymptotic())
 
-    def scaled(self, factor: complex) -> "Hyperfunction1D":
-        """factor * f, acting on both defining functions."""
-        c = complex(factor)
-        if isinstance(self.f_plus, ex.Expr) and isinstance(self.f_minus, ex.Expr):
-            return replace(self, f_plus=ex.simplify(ex.Mul(ex.Const(c), self.f_plus)),
-                           f_minus=ex.simplify(ex.Mul(ex.Const(c), self.f_minus)))
-        fp, fm = self.f_plus, self.f_minus
-        return replace(self, f_plus=lambda z: c * _eval_branch(fp, z),
-                       f_minus=lambda z: c * _eval_branch(fm, z))
-
 
 @dataclass(frozen=True)
 class TestFunction:
     """Analytic test function on a strip around the real axis."""
 
-    expr: Branch
+    expr: Callable  # an expression, or any callable of z
     strip_halfwidth: float = 0.5
     growth: GrowthClass = GrowthClass.exp_decay(1.0)
     label: str = ""
 
     def __call__(self, z):
-        return _eval_branch(self.expr, z)
+        return self.expr(z)
 
     def derivative_at(self, x0: float, order: int) -> complex:
         if not isinstance(self.expr, ex.Expr):
@@ -181,9 +164,10 @@ class LocalOperator:
             f"symbol of {self.label or 'J'}: tail terms still above rounding "
             f"or overflowing at n = {n}")
 
-    def root_sequence(self, up_to: int = 40):
+    def root_sequence(self):
+        """(n, (|b_n| n!)^(1/n)) for the nonzero b_n, n >= 1, up to n = 39."""
         seq = []
-        top = up_to if self.tail is not None else len(self.coefficients)
+        top = 40 if self.tail is not None else len(self.coefficients)
         for n in range(1, top):
             b = abs(self.coefficient(n))
             if b > 0:
@@ -235,8 +219,8 @@ def embed_real_analytic(e: ex.Expr, strip: float, growth: GrowthClass,
     if not report.passed:
         raise GrowthError(
             f"declared growth fails its spot check (worst ratio {report.worst_ratio:.3g})")
-    return Hyperfunction1D(f_plus=e, f_minus=ex.Const(0 + 0j), strip_plus=strip,
-                           strip_minus=strip, growth=growth, label=label or ex.print_expr(e))
+    return Hyperfunction1D(f_plus=e, f_minus=ex.Const(0 + 0j), strip=strip,
+                           growth=growth, label=label or ex.print_expr(e))
 
 
 def laurent_polynomial(coefficients, at: float = 0.0) -> ex.Expr:
@@ -255,8 +239,8 @@ def delta_combination(coefficients, at: float = 0.0,
     delta-like pair F_plus = F_minus = sum c_n (-1/2 pi i) (-1)^n n! / (z - at)^(n+1)."""
     f = laurent_polynomial({n + 1: c * (-1.0 / TWO_PI_I) * (-1.0) ** n * math.factorial(n)
                             for n, c in coefficients.items()}, at)
-    return Hyperfunction1D(f_plus=f, f_minus=f, strip_plus=math.inf, strip_minus=math.inf,
-                           growth=growth, label=label, point_support=at)
+    return Hyperfunction1D(f_plus=f, f_minus=f, strip=math.inf, growth=growth,
+                           label=label, point_support=at)
 
 
 def delta_derivative(n: int = 0, at: float = 0.0) -> Hyperfunction1D:
@@ -313,7 +297,7 @@ def _combined_tail(f: Hyperfunction1D, phi_growth: GrowthClass):
 
 
 def _pair_lines(f: Hyperfunction1D, phi: TestFunction, spec: ContourSpec):
-    strip_cap = 0.5 * min(f.strip_plus, f.strip_minus, phi.strip_halfwidth)
+    strip_cap = 0.5 * min(f.strip, phi.strip_halfwidth)
     if not math.isfinite(strip_cap):
         strip_cap = 0.5
     eta = spec.imag_offset
@@ -326,8 +310,7 @@ def _pair_lines(f: Hyperfunction1D, phi: TestFunction, spec: ContourSpec):
         return f.plus(z) * phi(z) - f.minus(zm) * phi(zm)
 
     growth, weight = _combined_tail(f, phi.growth)
-    res = integrate_line(bracket, replace(spec, imag_offset=eta, growth=growth,
-                                          weight_exponent=weight))
+    res = integrate_line(bracket, replace(spec, imag_offset=eta), growth, weight)
     return complex(res.value), res.error_estimate + res.tail_bound
 
 
@@ -336,12 +319,11 @@ def _pair_circle(f: Hyperfunction1D, phi, radius: float, abs_tol: float,
     """-closed circle integral around the singular point (trapezoid rule),
     doubling from 64 nodes; raises ``ConvergenceError`` past ``max_nodes``."""
     x0 = f.point_support
-    psi = phi.expr if isinstance(phi, TestFunction) else phi
 
     def evaluate(n):
         theta = 2.0 * math.pi * np.arange(n) / n
         z = x0 + radius * np.exp(1j * theta)
-        vals = _eval_branch(f.f_plus, z) * _eval_branch(psi, z)
+        vals = f.f_plus(z) * phi(z)
         return -complex((2j * math.pi / n) * np.sum(vals * (z - x0)))
 
     value, err, _ = refine(evaluate, 64, max_nodes, abs_tol, "circle pairing", "nodes")
@@ -384,7 +366,7 @@ def scale_pair(f: Hyperfunction1D, phi: TestFunction, lam: float,
 # standardization via the exponentially decaying Cauchy-type kernel
 
 
-def standardize(f: Hyperfunction1D, abs_tol: float = 1e-9) -> Hyperfunction1D:
+def standardize(f: Hyperfunction1D) -> Hyperfunction1D:
     """Replace the defining functions by G(z) = <f, h_z>.
 
     The kernel h_z(w) = (-1/2 pi i) e^(-(z-w)^2) / (z-w) reproduces the
@@ -395,23 +377,23 @@ def standardize(f: Hyperfunction1D, abs_tol: float = 1e-9) -> Hyperfunction1D:
 
     Off the delta-like case, G integrates over the lines w = Re z + u +- i eta
     with u in [-9, 9] (past that window the kernel is below e^(-81)) and
-    eta = min(|y|, strip_plus, strip_minus) / 2.  On these translated lines
-    z - w = i(y -+ eta) - u, so one kernel row per height, branch and level
-    serves every point at that height, and f is evaluated on the shifted
-    nodes.  The rule is degree-16 Gauss-Legendre panels, doubling from 16
-    panels until two passes agree within ``abs_tol``; past 1024 panels it
-    raises ``ConvergenceError``.
+    eta = min(|y|, strip) / 2.  On these translated lines z - w = i(y -+ eta) - u,
+    so one kernel row per height, branch and level serves every point at that
+    height, and f is evaluated on the shifted nodes.  The rule is degree-16
+    Gauss-Legendre panels, doubling from 16 panels until two passes agree
+    within 1e-9; past 1024 panels it raises ``ConvergenceError``.
 
     In the delta-like case G is the trapezoid rule on the circle of radius
-    r = min(1, |y|) / 2 around the support point, doubling from 32 nodes; past
-    512 nodes it raises.  The kernel's pole w = z lies at least 2r from the
-    centre, so the rule converges geometrically at ratio 1/2 per node and
-    stops at 64-128 nodes.
+    r = min(1, |y|) / 2 around the support point, doubling from 32 nodes to
+    the same agreement; past 512 nodes it raises.  The kernel's pole w = z
+    lies at least 2r from the centre, so the rule converges geometrically at
+    ratio 1/2 per node and stops at 64-128 nodes.
     """
     if not (f.is_delta_like or f.is_asymptotic or f.growth.kind == "tempered"):
         raise AdmissibilityError("standardize needs an asymptotic or tempered input")
 
-    strip = 0.5 * min(f.strip_plus, f.strip_minus, 1.0)
+    abs_tol = 1e-9
+    strip = 0.5 * min(f.strip, 1.0)
 
     def on_circle(zs, y):
         x0 = f.point_support
@@ -420,7 +402,7 @@ def standardize(f: Hyperfunction1D, abs_tol: float = 1e-9) -> Hyperfunction1D:
         def evaluate(n):
             theta = 2.0 * math.pi * np.arange(n) / n
             w = x0 + radius * np.exp(1j * theta)
-            fw = _eval_branch(f.f_plus, w) * (w - x0)
+            fw = f.f_plus(w) * (w - x0)
             return -(2j * math.pi / n) * in_row_blocks(
                 lambda block: (_std_kernel(block[:, None] - w) * fw).sum(axis=-1), zs, n)
 
@@ -428,7 +410,7 @@ def standardize(f: Hyperfunction1D, abs_tol: float = 1e-9) -> Hyperfunction1D:
                       "nodes")[0]
 
     def on_lines(zs, y):
-        eta = 0.5 * min(abs(y), f.strip_plus, f.strip_minus)
+        eta = 0.5 * min(abs(y), f.strip)
 
         def evaluate(panels):
             rule = CompositeRule(-_WINDOW, _WINDOW, panels, 16)
@@ -437,14 +419,14 @@ def standardize(f: Hyperfunction1D, abs_tol: float = 1e-9) -> Hyperfunction1D:
             km = _std_kernel(1j * (y + eta) - u) * rule.weights
             # a constant branch evaluates to a scalar and is summed once
             return in_row_blocks(lambda x: (
-                (_eval_branch(f.f_plus, x[:, None] + u + 1j * eta) * kp).sum(axis=-1)
-                - (_eval_branch(f.f_minus, x[:, None] + u - 1j * eta) * km).sum(axis=-1)),
+                (f.f_plus(x[:, None] + u + 1j * eta) * kp).sum(axis=-1)
+                - (f.f_minus(x[:, None] + u - 1j * eta) * km).sum(axis=-1)),
                 zs.real, len(u))
 
         return refine(evaluate, 16, 1024, abs_tol, f"standardized G at Im z = {y:g}")[0]
 
     G = by_height(on_circle if f.is_delta_like else on_lines)
-    return Hyperfunction1D(f_plus=G, f_minus=G, strip_plus=strip, strip_minus=strip,
+    return Hyperfunction1D(f_plus=G, f_minus=G, strip=strip,
                            growth=f.growth, label=f"std({f.label})",
                            tail_gain=max(f.tail_gain, 1))
 

@@ -63,7 +63,7 @@ class PolyCoeffOperator:
             for _ in range(m):
                 term = ex.Mul(z, term)
             for _ in range(j):
-                term = ex.Neg(ex.differentiate(term, 1, "z"))
+                term = ex.Neg(ex.differentiate(term, 1))
             total = ex.Add(total, ex.Mul(ex.Const(complex(c)), term))
         return ex.simplify(total)
 
@@ -283,13 +283,12 @@ def assemble(tail: FormalLaurentTail, admissible: bool = True,
         label += " [formal-only]" if not admissible else " [truncated]"
     if tail.is_zero() or tail.parity == "delta":
         f = ex.simplify(ex.Mul(ex.Const(-1.0 / TWO_PI_I), gt))
-        return Hyperfunction1D(f_plus=f, f_minus=f, strip_plus=math.inf,
-                               strip_minus=math.inf, growth=GrowthClass.tempered(-1.0),
+        return Hyperfunction1D(f_plus=f, f_minus=f, strip=math.inf,
+                               growth=GrowthClass.tempered(-1.0),
                                point_support=0.0, label=label)
     fp = ex.simplify(ex.Mul(ex.Const(0.5), gt))
     return Hyperfunction1D(f_plus=fp, f_minus=ex.simplify(ex.Neg(fp)),
-                           strip_plus=math.inf, strip_minus=math.inf,
-                           growth=GrowthClass.tempered(0.0), label=label)
+                           strip=math.inf, growth=GrowthClass.tempered(0.0), label=label)
 
 
 def residual_check(f: Hyperfunction1D, L: PolyCoeffOperator,

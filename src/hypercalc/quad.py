@@ -3,7 +3,8 @@
 The line integrator bisects in rounds, with the nested Gauss-Kronrod 10/21
 rule per panel (21 points, the 10 Gauss points among them): a round
 evaluates all its new panels in one call of the integrand.  Truncation
-tails are certified from the declared growth class of the integrand.
+tails are certified from the declared growth class of the integrand, which
+``integrate_line`` takes as an argument with the tail's polynomial weight.
 Exponential sums over a composite Gauss-Legendre rule factor each node
 m_p + h x_k into its panel midpoint and offset, and the equally spaced
 midpoints into a coarse and a fine step, so they take about 2 sqrt(panels)
@@ -12,11 +13,11 @@ complex exps per point and three matrix products instead of one exp per
 quadratures of the package (composite panels, box rules, the circle's
 trapezoid rule) double their resolution through it until two passes agree,
 or raise ``ConvergenceError`` at its cap; the exceptions are the 1024 fixed
-nodes of ``spectral._laurent_coefficients`` and the f0 grid of
-``spectral.structural_representation``.  ``by_height`` builds every
-computed defining function from one evaluation per height Im z, and
-``in_row_blocks`` bounds the memory of its (points x nodes) sums and of
-the Radon projection.
+nodes of ``spectral._laurent_coefficients`` and the max(64, 28 xi_max / pi)
+degree-10 panels of ``spectral.structural_representation``'s f0.
+``by_height`` builds every computed defining function from one evaluation
+per height Im z, and ``in_row_blocks`` bounds the memory of its (points x
+nodes) sums and of the Radon projection.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ class ContourSpec:
     imag_offset: float = 0.5
     truncation_radius: Optional[float] = None  # None = auto from growth
     abs_tol: float = 1e-9
-    growth: Optional[GrowthClass] = None  # declared decay of the integrand
-    weight_exponent: float = 0.0  # extra polynomial weight |x|^w in the tail
 
 
 @dataclass(frozen=True)
@@ -292,12 +291,12 @@ def _geometric_breakpoints(radius):
     return pts
 
 
-def auto_radius(growth: GrowthClass, abs_tol: float, weight_exponent: float = 0.0,
-                cap: float = 1e12) -> float:
-    """Smallest radius whose certified tail is below abs_tol / 10."""
+def auto_radius(growth: GrowthClass, abs_tol: float, weight_exponent: float = 0.0) -> float:
+    """Smallest radius whose certified tail is below abs_tol / 10; raises
+    ``ConvergenceError`` if that radius would reach 1e12."""
     target = abs_tol / 10.0
     lo, hi = 1.0, 2.0
-    while hi < cap:
+    while hi < 1e12:
         if tail_bound(growth, weight_exponent, hi) <= target:
             break
         hi *= 2.0
@@ -312,23 +311,19 @@ def auto_radius(growth: GrowthClass, abs_tol: float, weight_exponent: float = 0.
     return hi
 
 
-def integrate_line(integrand: Callable, spec: ContourSpec) -> QuadResult:
+def integrate_line(integrand: Callable, spec: ContourSpec, growth: GrowthClass,
+                   weight_exponent: float) -> QuadResult:
     """Integrate along Im z = imag_offset over |Re z| <= R, left to right.
 
-    ``integrand`` must accept numpy arrays of complex points.  When the
-    truncation radius is None it is chosen so that the certified tail bound
-    of the declared growth class is below abs_tol / 10.
+    ``integrand`` must accept numpy arrays of complex points; ``growth`` is
+    its declared decay and ``weight_exponent`` an extra polynomial weight
+    |x|^w in the tail.  When the truncation radius is None it is chosen so
+    that the certified tail bound is below abs_tol / 10.
     """
     eta = spec.imag_offset
-    if spec.truncation_radius is not None:
-        radius = float(spec.truncation_radius)
-        tail = (tail_bound(spec.growth, spec.weight_exponent, radius)
-                if spec.growth is not None else 0.0)
-    else:
-        if spec.growth is None:
-            raise ValueError("auto truncation radius requires a declared growth class")
-        radius = auto_radius(spec.growth, spec.abs_tol, spec.weight_exponent)
-        tail = tail_bound(spec.growth, spec.weight_exponent, radius)
+    radius = (float(spec.truncation_radius) if spec.truncation_radius is not None
+              else auto_radius(growth, spec.abs_tol, weight_exponent))
+    tail = tail_bound(growth, weight_exponent, radius)
 
     def g(x):
         return integrand(x + 1j * eta)
@@ -419,25 +414,24 @@ class GrowthReport:
     failures: tuple  # (radius, |value|, envelope) triples
 
 
-def verify_growth(e, claimed: GrowthClass, sample_radii=(5.0, 10.0, 20.0),
-                  slack: float = 10.0) -> GrowthReport:
+def verify_growth(e, claimed: GrowthClass) -> GrowthReport:
     """Spot-check a declared growth class on the real axis.
 
     ``e`` is an expression or any callable of a complex argument.  The check
-    fails if |e| exceeds the claimed envelope by more than ``slack`` at any
-    sampled radius.
+    fails if |e| exceeds the claimed envelope more than tenfold at x = +-5,
+    +-10 or +-20.
     """
     if not callable(e):
         raise TypeError("verify_growth needs a callable or expression")
     failures = []
     worst = 0.0
-    for r in sample_radii:
+    for r in (5.0, 10.0, 20.0):
         for x in (r, -r):
             v = abs(complex(np.asarray(e(complex(x)))))
             env = claimed.envelope(abs(x))
             ratio = v / env if env > 0 else math.inf
             worst = max(worst, ratio)
-            if ratio > slack:
+            if ratio > 10.0:
                 failures.append((x, v, env))
     return GrowthReport(passed=not failures, claimed=claimed,
                         worst_ratio=worst, failures=tuple(failures))

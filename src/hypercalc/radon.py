@@ -46,13 +46,16 @@ def multi_indices(n: int, k: int):
 # input variants
 
 
+BOX_RADIUS = 7.0  # half-width per axis of the box holding a SmoothRapid's mass
+
+
 @dataclass(frozen=True)
 class SmoothRapid:
-    """Rapidly decreasing smooth function given by an expression in x1..xn."""
+    """Rapidly decreasing smooth function given by an expression in x1..xn,
+    negligible outside the box |x_i| <= BOX_RADIUS."""
 
     expr: ex.Expr
     dimension: int
-    radius: float = 7.0  # quadrature box half-width per axis
     label: str = ""
 
     def __post_init__(self):
@@ -177,7 +180,7 @@ def _weighted_projection(f: SmoothRapid, omega, degree: int, abs_tol: float):
     f is evaluated in blocks of u-points (``in_row_blocks``), so a fine
     level's (u x transverse) grid is never held whole."""
     n = f.dimension
-    extent = f.radius * math.sqrt(n)
+    extent = BOX_RADIUS * math.sqrt(n)
     tangents = np.asarray(_orthonormal_frame(omega)[1:])  # (n-1, n)
     levels, trans = {}, None
 
@@ -248,9 +251,8 @@ def radon_transform(f: MultiDimFunction, omega, abs_tol: float = 1e-9) -> RadonS
 
     G = by_height(at_height)
     slice_hyper = Hyperfunction1D(
-        f_plus=G, f_minus=G, strip_plus=math.inf, strip_minus=math.inf,
-        growth=GrowthClass.tempered(-1.0), tail_gain=1,
-        label=f"radon({f.label})")
+        f_plus=G, f_minus=G, strip=math.inf, growth=GrowthClass.tempered(-1.0),
+        tail_gain=1, label=f"radon({f.label})")
     return RadonSlice(omega=omega, hyper=slice_hyper, label=f.label)
 
 
@@ -271,7 +273,7 @@ def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
         return sp.SmoothField(hat, growth=GrowthClass.infra_exponential(),
                               cheap=True, label=f"ray({f.label})")
 
-    extent = f.radius * math.sqrt(f.dimension)
+    extent = BOX_RADIUS * math.sqrt(f.dimension)
     weighted = _weighted_projection(f, omega, 8, 1e-10)
 
     def table(rhos):
@@ -313,8 +315,9 @@ def radon_via_fourier(f: MultiDimFunction, omega, label: str = "") -> Hyperfunct
 # moments of f and of its slices
 
 
-def multidim_moment(f: MultiDimFunction, alpha, abs_tol: float = 1e-10):
-    """mu^alpha(f) = integral of x^alpha f; symbolic for delta combinations."""
+def multidim_moment(f: MultiDimFunction, alpha):
+    """mu^alpha(f) = integral of x^alpha f, to abs_tol 1e-10; symbolic for delta
+    combinations."""
     if isinstance(f, DeltaCombo):
         exact = all(src.exact for src in f.sources)
         total = Fraction(0) if exact else 0j
@@ -337,14 +340,15 @@ def multidim_moment(f: MultiDimFunction, alpha, abs_tol: float = 1e-10):
                 vals = vals * pts[:, i] ** a
         return vals
 
-    res = integrate_box(integrand, [f.radius] * f.dimension, abs_tol=abs_tol)
+    res = integrate_box(integrand, [BOX_RADIUS] * f.dimension, abs_tol=1e-10)
     return res.value
 
 
-def helgason_moment(f: MultiDimFunction, k: int, cap: int = 8) -> HomogeneousPoly:
-    """p^k(omega) = k! sum_{|alpha|=k} mu^alpha(f) / alpha! * omega^alpha."""
-    if k > cap:
-        raise ValueError(f"degree {k} above the configured cap {cap}")
+def helgason_moment(f: MultiDimFunction, k: int) -> HomogeneousPoly:
+    """p^k(omega) = k! sum_{|alpha|=k} mu^alpha(f) / alpha! * omega^alpha, for
+    k <= 8."""
+    if k > 8:
+        raise ValueError(f"degree {k} above the cap 8")
     n = f.dimension
     coeffs = {}
     for alpha in multi_indices(n, k):
@@ -369,7 +373,7 @@ def slice_moment(f: MultiDimFunction, omega, k: int):
         u = pts @ np.asarray(omega)
         return np.asarray(f(pts)) * u ** k
 
-    res = integrate_box(integrand, [f.radius] * f.dimension, abs_tol=1e-10)
+    res = integrate_box(integrand, [BOX_RADIUS] * f.dimension, abs_tol=1e-10)
     return res.value
 
 
@@ -466,10 +470,10 @@ class GevreyFit:
     residual: float = 0.0
 
 
-def gevrey_probe(f: MultiDimFunction, omega0, tau0: complex, max_order: int = 4,
-                 h: float = 0.2) -> GevreyFit:
+def gevrey_probe(f: MultiDimFunction, omega0, tau0: complex,
+                 max_order: int = 4) -> GevreyFit:
     """Tangential omega-derivatives of G at (omega0, tau0) by finite
-    differences on the sphere, fitted against C (m!)^2 / v^m."""
+    differences of step 0.2 on the sphere, fitted against C (m!)^2 / v^m."""
     if max_order > 4:
         raise ValueError("max_order above 4 is not supported (differencing noise)")
     omega0 = np.asarray(_check_unit(omega0))
@@ -480,6 +484,7 @@ def gevrey_probe(f: MultiDimFunction, omega0, tau0: complex, max_order: int = 4,
     base[int(np.argmin(np.abs(omega0)))] = 1.0
     tangent = base - np.dot(base, omega0) * omega0
     tangent /= np.linalg.norm(tangent)
+    h = 0.2
 
     def g(theta):
         w = math.cos(theta) * omega0 + math.sin(theta) * tangent

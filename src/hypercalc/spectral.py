@@ -113,7 +113,7 @@ def _laurent_coefficients(f: Hyperfunction1D):
     n, m_max, tol = 1024, 64, 1e-15
     theta = 2.0 * math.pi * np.arange(n) / n
     w = 0.4 * np.exp(1j * theta)
-    fv = hy._eval_branch(f.f_plus, x0 + w)
+    fv = f.f_plus(x0 + w)
     ms = np.arange(1, m_max + 1)
     # a_m = (1/2 pi i) contour integral F (z-x0)^(m-1) dz, trapezoid rule
     a = (w[None, :] ** ms[:, None] * fv[None, :]).mean(axis=1)
@@ -167,7 +167,7 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
     if f.is_delta_like:
         return SmoothField(_delta_like_hat(f), label=f"ft({f.label})", cheap=True)
 
-    eta = 0.4 * min(f.strip_plus, f.strip_minus, 1.0)
+    eta = 0.4 * min(f.strip, 1.0)
     # One vanishing branch means f continues across the axis, so each
     # integration contour can sit on the side where e^(-i z xi) decays; this
     # avoids the e^(eta |xi|) cancellation blowup, and the transform then
@@ -197,7 +197,7 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
             x = rule.points
 
             def amplitude(branch, z):
-                a = hy._eval_branch(branch, z) * rule.weights
+                a = branch(z) * rule.weights
                 return a * (-1j * z) ** order if order else a
 
             res = np.empty(flat.shape, dtype=complex)
@@ -278,8 +278,8 @@ def inverse_fourier(g: SmoothField, label: str = "",
         return by_height(at_height)
 
     return Hyperfunction1D(
-        f_plus=branch(+1), f_minus=branch(-1), strip_plus=math.inf,
-        strip_minus=math.inf, growth=GrowthClass.asymptotic(),
+        f_plus=branch(+1), f_minus=branch(-1), strip=math.inf,
+        growth=GrowthClass.asymptotic(),
         label=label or f"ift({g.label})", tail_gain=1)
 
 
@@ -321,11 +321,11 @@ class SlopeFit:
 
 
 def parametric_order_check(f: Hyperfunction1D, phi: TestFunction, N: int,
-                           lambdas: Sequence[float] = (4, 8, 16, 32, 64),
-                           noise_floor: float = 1e-12) -> SlopeFit:
+                           lambdas: Sequence[float] = (4, 8, 16, 32, 64)) -> SlopeFit:
     """Fit of log|remainder| against log lambda for the scaled pairing.
 
     r(lambda) = <f(lambda x), phi> - sum_{n<=N} mu^n phi^(n)(0) / (n! lambda^(n+1)).
+    Remainders at or below 1e-12 are rounding noise and left out of the fit.
     """
     mus = [moment(f, n, abs_tol=1e-13) for n in range(N + 1)]
     derivs = [phi.derivative_at(0.0, n) for n in range(N + 1)]
@@ -336,7 +336,7 @@ def parametric_order_check(f: Hyperfunction1D, phi: TestFunction, N: int,
         model = sum(mus[n] * derivs[n] / (math.factorial(n) * lam ** (n + 1))
                     for n in range(N + 1))
         pts.append((float(lam), abs(s - model)))
-    live = [(l, r) for (l, r) in pts if r > noise_floor]
+    live = [(l, r) for (l, r) in pts if r > 1e-12]
     if len(live) < 2:
         return SlopeFit(slope=None, residuals=tuple(pts), vacuous=True)
     logs = np.log([l for l, _ in live])
@@ -502,8 +502,9 @@ class StructuralRep:
     f0: Callable
     xi_max: float
 
-    def reconstruct_pairing(self, phi: TestFunction, abs_tol: float = 1e-8) -> complex:
-        """int f0 (J* W* phi) dx; should match pair(f, phi) of the input f."""
+    def reconstruct_pairing(self, phi: TestFunction) -> complex:
+        """int f0 (J* W* phi) dx to abs_tol 1e-8; should match pair(f, phi) of
+        the input f."""
         if not isinstance(phi.expr, ex.Expr):
             raise TypeError("verification needs an expression test function")
         combined = self.weight.adjoint().apply_to_expr(
@@ -513,19 +514,20 @@ class StructuralRep:
         def integrand(x):
             return self.f0(x) * ex.evaluate(combined, {"z": x + 0j})
 
-        val, _, _ = adaptive_interval(integrand, -lim, lim, abs_tol,
+        val, _, _ = adaptive_interval(integrand, -lim, lim, 1e-8,
                                       f"structural pairing with {phi.label or 'phi'}")
         return complex(val)
 
 
-def structural_representation(f: Hyperfunction1D, J: Optional[LocalOperator] = None,
-                              x_max: float = 14.0, grid_n: int = 141,
-                              abs_tol: float = 1e-6) -> StructuralRep:
+def structural_representation(f: Hyperfunction1D,
+                              J: Optional[LocalOperator] = None) -> StructuralRep:
     """f = J(D)(1 - D^2) f0 with continuous f0 sampled on a grid.
 
     f0 is the inverse transform of hat f / (J(xi) (1 + xi^2)).  The slowly
     decaying part of that quotient is handled by an analytic 1/xi^2 tail
-    correction so the oscillatory grid integral stays short.
+    correction so the oscillatory grid integral stays short.  The cutoff
+    xi_max doubles from 16 until the quotient or its tail model is within
+    1e-6; f0 is sampled at 141 points on [-14, 14].
     """
     if not f.is_asymptotic:
         raise AdmissibilityError(
@@ -534,6 +536,7 @@ def structural_representation(f: Hyperfunction1D, J: Optional[LocalOperator] = N
     if J is None:
         J = LocalOperator((1.0,), label="1")
     field = fourier_transform(f)
+    x_max, grid_n, abs_tol = 14.0, 141, 1e-6
 
     def fhat0(xi):
         return np.asarray(field(xi, 0)) / (np.asarray(J.symbol(xi)) * (1.0 + np.asarray(xi) ** 2))

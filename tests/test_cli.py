@@ -85,6 +85,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                      "--output", str(tmp_path / "z")]) == 2
     assert cli.main(["invfourier", "--field", "exp((",
                      "--output", str(tmp_path / "z")]) == 2
+    # a corpus file whose growth record is not a growth class
+    bad = tmp_path / "bad.json"
+    for growth in ({"kind": "bogus"}, {}, {"kind": "exp_decay", "rate": 0},
+                   {"kind": "tempered", "gamma": "a"}):
+        bad.write_text(json.dumps([{"label": "f", "f_plus": "sech(z)", "f_minus": "0",
+                                    "growth": growth}]))
+        capsys.readouterr()
+        assert cli.main(["pair", "--input", str(bad), "--label", "f",
+                         "--output", str(tmp_path / "z")]) == 2
+        assert "input: corpus[0]: growth: " in capsys.readouterr().err
     assert not (tmp_path / "z").exists()
 
 
@@ -159,6 +169,7 @@ def test_every_subcommand_runs_its_defaults_and_reads_every_option(
     ("pair", {"params": {"label": "sech"}}, "unknown key 'params'"),
     ("support-check", {"S": "x"}, "S: expected a positive number, got 'x'"),
     ("multiplier", {"zeta_max": "big"}, "zeta_max: expected a positive number"),
+    ("pair", {"embed": "1e400"}, "embed: expected an expression in z"),
 ])
 def test_unknown_keys_and_malformed_values_exit_2(tmp_path, capsys, command,
                                                   config, message):
@@ -187,6 +198,17 @@ def test_corpus_file_round_trip(tmp_path):
     for suffix in ("json", "csv"):
         assert ((out1 / f"pair.{suffix}").read_bytes()
                 == (out2 / f"pair.{suffix}").read_bytes())
+
+
+def test_corpus_record_with_unequal_strips_reads_as_the_smaller():
+    rec = json.loads(cp.corpus_to_json({"sech": cp.default_corpus()["sech"]}))[0]
+    assert rec["strip_plus"] == rec["strip_minus"] == 1.4
+    narrow = cp.corpus_from_json(json.dumps([{**rec, "strip_minus": 0.9}]))["sech"]
+    both = cp.corpus_from_json(json.dumps([{**rec, "strip_plus": 0.9,
+                                             "strip_minus": 0.9}]))["sech"]
+    assert narrow.strip == both.strip == 0.9
+    for phi in cp.test_suite():
+        assert complex(hy.pair(narrow, phi)) == complex(hy.pair(both, phi)), phi.label
 
 
 def test_parse_operator():

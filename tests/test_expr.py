@@ -108,6 +108,9 @@ def test_parse_error_offset():
     with pytest.raises(ex.ParseError) as exc:
         ex.parse_expr("1+*2")
     assert exc.value.position == 3
+    with pytest.raises(ex.ParseError) as exc:
+        ex.parse_expr("z*1e400")  # a literal past the float range
+    assert exc.value.position == 3
 
 
 def test_unknown_identifier():

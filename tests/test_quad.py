@@ -91,17 +91,16 @@ def test_adaptive_interval_names_its_subject_at_the_cap():
 
 
 def test_integrate_line_shift_invariance():
-    spec1 = ContourSpec(imag_offset=0.25, truncation_radius=12.0, abs_tol=1e-12,
-                        growth=GrowthClass.exp_decay(1.0, constant=3.0))
-    spec2 = ContourSpec(imag_offset=0.5, truncation_radius=12.0, abs_tol=1e-12,
-                        growth=GrowthClass.exp_decay(1.0, constant=3.0))
+    spec1 = ContourSpec(imag_offset=0.25, truncation_radius=12.0, abs_tol=1e-12)
+    spec2 = ContourSpec(imag_offset=0.5, truncation_radius=12.0, abs_tol=1e-12)
+    growth = GrowthClass.exp_decay(1.0, constant=3.0)
     e = ex.parse_expr("exp(-(z*z))")
 
     def f(z):
         return ex.evaluate(e, {"z": z})
 
-    r1 = integrate_line(f, spec1)
-    r2 = integrate_line(f, spec2)
+    r1 = integrate_line(f, spec1, growth, 0.0)
+    r2 = integrate_line(f, spec2, growth, 0.0)
     assert abs(r1.value - r2.value) < 1e-10
 
 
