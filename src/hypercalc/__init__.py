@@ -3,9 +3,9 @@
 from .expr import (Expr, ParseError, PoleError, parse_expr, print_expr,
                    evaluate, differentiate)
 from .growth import GrowthClass, GrowthError
-from .quad import (ContourSpec, QuadResult, integrate_line, integrate_box,
-                   tail_bound, verify_growth, ConvergenceError,
-                   DivergentTailError, DimensionError)
+from .quad import (ContourSpec, QuadResult, integrate_box, tail_bound,
+                   verify_growth, ConvergenceError, DivergentTailError,
+                   DimensionError)
 from .hyper import (Hyperfunction1D, TestFunction, LocalOperator,
                     AdmissibilityError, embed_real_analytic, delta_derivative,
                     pair, scale_pair, standardize, apply_local_operator)

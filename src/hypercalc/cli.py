@@ -81,6 +81,10 @@ def _choice(*names):
     return _parser(f"one of {', '.join(names)}", str, ok=lambda v: v in names)
 
 
+def _count_to(cap):
+    return _parser(f"an integer from 0 to {cap}", (str, int), int, lambda n: 0 <= n <= cap)
+
+
 _NUMERIC = (str, int, float)
 _text = _parser("a string", str)
 _flag = _parser("true or false", bool)
@@ -228,10 +232,10 @@ def cmd_pair(opts: Options, rep: Report):
 def cmd_moments(opts: Options, rep: Report):
     f = _get_hyper(opts)
     seq = sp.moment_sequence(f, opts["order"])
-    rows = [[n, mu.real, mu.imag] for n, mu in enumerate(seq.values)]
-    rep.put(label=f.label, moments=list(seq.values))
+    rows = [[n, mu.real, mu.imag] for n, mu in enumerate(seq)]
+    rep.put(label=f.label, moments=list(seq))
     rep.table(["n", "re", "im"], rows)
-    for n, mu in enumerate(seq.values):
+    for n, mu in enumerate(seq):
         rep.say(f"mu^{n}({f.label}) = {mu:.12g}")
 
 
@@ -449,8 +453,11 @@ def cmd_support_check(opts: Options, rep: Report):
     if opts["bound"]:
         bound = opts["bound"]
     S = opts["S"]
-    report = rd.support_check(values, S, eps_list=tuple(opts["eps"]),
-                              q_max=opts["q_max"], bound=bound)
+    try:
+        report = rd.support_check(values, S, eps_list=tuple(opts["eps"]),
+                                  q_max=opts["q_max"], bound=bound)
+    except ValueError as exc:  # the moments, bound or q range do not fit
+        raise UsageError(str(exc))
     rep.put(S=S, rate=report.rate, diagnosis=report.diagnosis,
             passed={str(k): v for k, v in report.passed.items()})
     rep.table(["q", "abs_sum", "tail"],
@@ -519,10 +526,10 @@ OPTIONS = {  # option -> (parser, help)
     "zeta_max": (_positive, "largest |zeta| sampled for the growth bound"),
     "seed": (_count, "random seed"),
     "directions": (_count, "number of directions"),
-    "degree": (_count, "largest polynomial degree"),
+    "degree": (_count_to(rd.HELGASON_DEGREE_CAP), "largest polynomial degree"),
     "omega": (_reals, "comma-separated unit direction"),
     "tau_imag": (_number, "imaginary part of the base point tau"),
-    "max_order": (_count, "largest derivative order probed"),
+    "max_order": (_count_to(rd.GEVREY_ORDER_CAP), "largest derivative order probed"),
     "a": (_number, "point of the delta family mu^k = a^k"),
     "S": (_positive, "support radius"),
     "q_max": (_count, "largest q of the partial sums"),

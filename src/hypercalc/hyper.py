@@ -19,10 +19,9 @@ import numpy as np
 
 from . import expr as ex
 from .growth import GrowthClass, GrowthError
-# adaptive_interval, auto_radius: re-exported for perfbench/selftest.py's checks
-from .quad import (CompositeRule, ContourSpec, ConvergenceError,  # noqa: F401
-                   adaptive_interval, auto_radius, by_height, in_row_blocks,
-                   integrate_line, refine, verify_growth)
+from .quad import (CompositeRule, ContourSpec, ConvergenceError, adaptive_interval,
+                   auto_radius, by_height, in_row_blocks, refine, tail_bound,
+                   verify_growth)
 
 __all__ = [
     "Hyperfunction1D", "TestFunction", "LocalOperator", "AdmissibilityError",
@@ -62,12 +61,6 @@ class Hyperfunction1D:
     label: str = ""
     point_support: Optional[float] = None
     tail_gain: int = 0
-
-    def plus(self, z):
-        return self.f_plus(z)
-
-    def minus(self, z):
-        return self.f_minus(z)
 
     @property
     def is_delta_like(self):
@@ -296,22 +289,38 @@ def _combined_tail(f: Hyperfunction1D, phi_growth: GrowthClass):
     return GrowthClass.tempered(total, constant=c), 0.0
 
 
+def _geometric_breakpoints(radius):
+    """Panel seeds +-2^k, suited to integrands varying on a log scale."""
+    pts = [0.0]
+    x = 1.0
+    while x < radius:
+        pts.extend([x, -x])
+        x *= 2.0
+    return pts
+
+
 def _pair_lines(f: Hyperfunction1D, phi: TestFunction, spec: ContourSpec):
+    """(<f, phi>, error bound): the bracket F_plus phi - F_minus phi on Im z =
+    +-eta over |Re z| <= R, R from ``spec`` or ``auto_radius``; the bound
+    adds the certified tail past R to the quadrature's error estimate."""
     strip_cap = 0.5 * min(f.strip, phi.strip_halfwidth)
     if not math.isfinite(strip_cap):
         strip_cap = 0.5
-    eta = spec.imag_offset
-    if not 0 < eta:
-        eta = strip_cap
-    eta = min(eta, strip_cap)
+    eta = min(spec.imag_offset, strip_cap) if spec.imag_offset > 0 else strip_cap
 
-    def bracket(z):
+    def bracket(x):
+        z = x + 1j * eta
         zm = z.conj()
-        return f.plus(z) * phi(z) - f.minus(zm) * phi(zm)
+        return f.f_plus(z) * phi(z) - f.f_minus(zm) * phi(zm)
 
     growth, weight = _combined_tail(f, phi.growth)
-    res = integrate_line(bracket, replace(spec, imag_offset=eta), growth, weight)
-    return complex(res.value), res.error_estimate + res.tail_bound
+    radius = (float(spec.truncation_radius) if spec.truncation_radius is not None
+              else auto_radius(growth, spec.abs_tol, weight))
+    tail = tail_bound(growth, weight, radius)
+    value, err, _ = adaptive_interval(
+        bracket, -radius, radius, spec.abs_tol, f"line integral at Im z = {eta:g}",
+        _geometric_breakpoints(radius))
+    return complex(value), err + tail
 
 
 def _pair_circle(f: Hyperfunction1D, phi, radius: float, abs_tol: float,
@@ -339,7 +348,7 @@ def pair(f: Hyperfunction1D, phi: TestFunction, spec: Optional[ContourSpec] = No
 def pair_with_error(f, phi, spec=None, force_lines=False):
     """(<f, phi>, error bound): the circle route for delta-like f unless
     ``force_lines``, else the two-line route."""
-    spec = spec or ContourSpec(imag_offset=0.0, abs_tol=1e-10)
+    spec = spec or ContourSpec()
     if f.is_delta_like and not force_lines:
         radius = 0.45 * min(phi.strip_halfwidth, 1.0)
         return _pair_circle(f, phi, radius, spec.abs_tol)

@@ -1,10 +1,10 @@
-"""Adaptive quadrature along horizontal contour lines and over boxes in R^n.
+"""Adaptive quadrature on intervals and over boxes in R^n.
 
-The line integrator bisects in rounds, with the nested Gauss-Kronrod 10/21
+``adaptive_interval`` bisects in rounds, with the nested Gauss-Kronrod 10/21
 rule per panel (21 points, the 10 Gauss points among them): a round
 evaluates all its new panels in one call of the integrand.  Truncation
-tails are certified from the declared growth class of the integrand, which
-``integrate_line`` takes as an argument with the tail's polynomial weight.
+tails of line integrals are certified from a declared growth class and a
+polynomial weight by ``tail_bound``; ``auto_radius`` inverts it.
 Exponential sums over a composite Gauss-Legendre rule factor each node
 m_p + h x_k into its panel midpoint and offset, and the equally spaced
 midpoints into a coarse and a fine step, so they take about 2 sqrt(panels)
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaincc, gamma as gamma_fn
@@ -33,7 +33,7 @@ from .growth import GrowthClass
 
 __all__ = [
     "ContourSpec", "QuadResult", "CompositeRule", "tensor_grid", "refine",
-    "by_height", "in_row_blocks", "integrate_line", "integrate_box", "tail_bound",
+    "by_height", "in_row_blocks", "integrate_box", "tail_bound",
     "verify_growth", "ConvergenceError", "DivergentTailError", "DimensionError",
 ]
 
@@ -54,16 +54,14 @@ class DimensionError(Exception):
 class ContourSpec:
     """Parameters of a truncated horizontal line contour Im z = eta."""
 
-    imag_offset: float = 0.5
+    imag_offset: float = 0.0  # 0 = half the narrower strip of the pairing
     truncation_radius: Optional[float] = None  # None = auto from growth
-    abs_tol: float = 1e-9
+    abs_tol: float = 1e-10
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: complex
     error_estimate: float
-    tail_bound: float
     nodes_used: int
 
 
@@ -249,7 +247,7 @@ def adaptive_interval(f, a, b, abs_tol, what: str = "integral",
     f.  Stops when the summed error is at most ``abs_tol``; raises
     ``ConvergenceError`` before a round would take the bisections past
     ``SUBDIVISION_CAP``.
-    Returns ``(value, err, nodes)``, summed over the panels in x order.
+    Returns a ``QuadResult`` summed over the panels in x order.
     """
     edges = np.array(sorted({float(a), float(b), *[p for p in breakpoints if a < p < b]}))
     new_lo, new_hi = edges[:-1], edges[1:]
@@ -266,7 +264,7 @@ def adaptive_interval(f, a, b, abs_tol, what: str = "integral",
         val, err = np.append(val, high), np.append(err, np.abs(high - low))
         if err.sum() <= abs_tol:
             in_x = np.argsort(lo)
-            return val[in_x].sum(), float(err[in_x].sum()), nodes
+            return QuadResult(val[in_x].sum(), float(err[in_x].sum()), nodes)
         order = np.argsort(-err, kind="stable")
         unsplit = np.cumsum(err[order][::-1])[::-1]  # error left by splitting order[:k]
         k = int(np.count_nonzero(~(unsplit <= 0.5 * abs_tol)))  # a NaN splits them all
@@ -279,16 +277,6 @@ def adaptive_interval(f, a, b, abs_tol, what: str = "integral",
         cut = 0.5 * (lo[split] + hi[split])
         new_lo, new_hi = np.append(lo[split], cut), np.append(cut, hi[split])
         lo, hi, val, err = lo[keep], hi[keep], val[keep], err[keep]
-
-
-def _geometric_breakpoints(radius):
-    """Panel seeds +-2^k, suited to integrands varying on a log scale."""
-    pts = [0.0]
-    x = 1.0
-    while x < radius:
-        pts.extend([x, -x])
-        x *= 2.0
-    return pts
 
 
 def auto_radius(growth: GrowthClass, abs_tol: float, weight_exponent: float = 0.0) -> float:
@@ -311,29 +299,6 @@ def auto_radius(growth: GrowthClass, abs_tol: float, weight_exponent: float = 0.
     return hi
 
 
-def integrate_line(integrand: Callable, spec: ContourSpec, growth: GrowthClass,
-                   weight_exponent: float) -> QuadResult:
-    """Integrate along Im z = imag_offset over |Re z| <= R, left to right.
-
-    ``integrand`` must accept numpy arrays of complex points; ``growth`` is
-    its declared decay and ``weight_exponent`` an extra polynomial weight
-    |x|^w in the tail.  When the truncation radius is None it is chosen so
-    that the certified tail bound is below abs_tol / 10.
-    """
-    eta = spec.imag_offset
-    radius = (float(spec.truncation_radius) if spec.truncation_radius is not None
-              else auto_radius(growth, spec.abs_tol, weight_exponent))
-    tail = tail_bound(growth, weight_exponent, radius)
-
-    def g(x):
-        return integrand(x + 1j * eta)
-
-    value, err, nodes = adaptive_interval(
-        g, -radius, radius, spec.abs_tol, f"line integral at Im z = {eta:g}",
-        _geometric_breakpoints(radius))
-    return QuadResult(value, err, tail, nodes)
-
-
 # ---------------------------------------------------------------------------
 # boxes in R^n
 
@@ -342,31 +307,24 @@ def integrate_box(integrand: Callable, box, abs_tol: float = 1e-9,
                   max_points: int = 257) -> QuadResult:
     """Tensor-product Gauss-Legendre over a box, refined by point doubling.
 
-    ``box`` is a sequence of per-axis radii R_i (axis i spans [-R_i, R_i]) or
-    of explicit (lo, hi) pairs.  ``integrand`` receives an (N, n) array of
-    points.  n <= 3.
+    ``box`` is a sequence of per-axis radii R_i (axis i spans [-R_i, R_i]).
+    ``integrand`` receives an (N, n) array of points.  n <= 3.
     """
-    axes = []
-    for b in box:
-        if np.isscalar(b):
-            axes.append((-float(b), float(b)))
-        else:
-            axes.append((float(b[0]), float(b[1])))
-    n = len(axes)
+    n = len(box)
     if n < 1 or n > 3:
         raise DimensionError(f"box dimension {n} not supported (1 <= n <= 3)")
     nodes_used = 0
 
     def evaluate(m):
         nonlocal nodes_used
-        pts, weights = tensor_grid([CompositeRule(lo, hi, 1, m) for lo, hi in axes])
+        pts, weights = tensor_grid([CompositeRule(-float(r), float(r), 1, m) for r in box])
         vals = np.asarray(integrand(pts))
         nodes_used += pts.shape[0]
         return np.sum(weights * vals)
 
     value, err, _ = refine(evaluate, 16, max_points, abs_tol, "box rule",
                            "points per axis")
-    return QuadResult(complex(value), err, 0.0, nodes_used)
+    return QuadResult(complex(value), err, nodes_used)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,8 @@ def multi_indices(n: int, k: int):
 
 
 BOX_RADIUS = 7.0  # half-width per axis of the box holding a SmoothRapid's mass
+HELGASON_DEGREE_CAP = 8  # largest k of helgason_moment
+GEVREY_ORDER_CAP = 4  # largest derivative order of gevrey_probe (_FD_STENCILS)
 
 
 @dataclass(frozen=True)
@@ -346,9 +348,9 @@ def multidim_moment(f: MultiDimFunction, alpha):
 
 def helgason_moment(f: MultiDimFunction, k: int) -> HomogeneousPoly:
     """p^k(omega) = k! sum_{|alpha|=k} mu^alpha(f) / alpha! * omega^alpha, for
-    k <= 8."""
-    if k > 8:
-        raise ValueError(f"degree {k} above the cap 8")
+    k <= HELGASON_DEGREE_CAP."""
+    if k > HELGASON_DEGREE_CAP:
+        raise ValueError(f"degree {k} above the cap {HELGASON_DEGREE_CAP}")
     n = f.dimension
     coeffs = {}
     for alpha in multi_indices(n, k):
@@ -457,7 +459,7 @@ def defining_function_value(f: MultiDimFunction, omega, tau: complex) -> complex
             total += c * (-1.0 / TWO_PI_I) * (-1.0) ** m * math.factorial(m) \
                 / (tau - adot) ** (m + 1)
         return total
-    return complex(radon_transform(f, omega).hyper.plus(tau))
+    return complex(radon_transform(f, omega).hyper.f_plus(tau))
 
 
 @dataclass(frozen=True)
@@ -474,8 +476,8 @@ def gevrey_probe(f: MultiDimFunction, omega0, tau0: complex,
                  max_order: int = 4) -> GevreyFit:
     """Tangential omega-derivatives of G at (omega0, tau0) by finite
     differences of step 0.2 on the sphere, fitted against C (m!)^2 / v^m."""
-    if max_order > 4:
-        raise ValueError("max_order above 4 is not supported (differencing noise)")
+    if max_order > GEVREY_ORDER_CAP:
+        raise ValueError(f"max_order {max_order} above the cap {GEVREY_ORDER_CAP}")
     omega0 = np.asarray(_check_unit(omega0))
     n = len(omega0)
     # unit tangent: rotate the axis least aligned with omega0 into the

@@ -30,7 +30,7 @@ from .quad import (CompositeRule, adaptive_interval, by_height, refine,
                    auto_radius as quad_auto_radius)
 
 __all__ = [
-    "SmoothField", "MomentSequence", "AsymptoticSum", "fourier_transform",
+    "SmoothField", "AsymptoticSum", "fourier_transform",
     "inverse_fourier", "moment", "asymptotic_sum", "parametric_order_check",
     "realize_moments", "build_multiplier",
     "structural_representation",
@@ -69,18 +69,6 @@ class SmoothField:
 
         return SmoothField(evaluator, growth=self.growth, label=f"tab({self.label})",
                            cheap=True)
-
-
-@dataclass(frozen=True)
-class MomentSequence:
-    values: tuple
-    label: str = ""
-
-    def __getitem__(self, k):
-        return self.values[k]
-
-    def __len__(self):
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -294,12 +282,11 @@ def moment(f: Hyperfunction1D, n: int, abs_tol: float = 1e-11) -> complex:
     phi = TestFunction(ex.Pow(ex.Var("z"), n) if n else ex._ONE,
                        strip_halfwidth=math.inf,
                        growth=GrowthClass.tempered(float(n)))
-    return hy.pair(f, phi, ContourSpec(imag_offset=0.0, abs_tol=abs_tol))
+    return hy.pair(f, phi, ContourSpec(abs_tol=abs_tol))
 
 
-def moment_sequence(f: Hyperfunction1D, N: int, **kw) -> MomentSequence:
-    return MomentSequence(tuple(moment(f, n, **kw) for n in range(N + 1)),
-                          label=f.label)
+def moment_sequence(f: Hyperfunction1D, N: int, **kw) -> tuple:
+    return tuple(moment(f, n, **kw) for n in range(N + 1))
 
 
 def asymptotic_sum(f: Hyperfunction1D, N: int) -> AsymptoticSum:
@@ -329,7 +316,7 @@ def parametric_order_check(f: Hyperfunction1D, phi: TestFunction, N: int,
     """
     mus = [moment(f, n, abs_tol=1e-13) for n in range(N + 1)]
     derivs = [phi.derivative_at(0.0, n) for n in range(N + 1)]
-    spec = ContourSpec(imag_offset=0.0, abs_tol=1e-13)
+    spec = ContourSpec(abs_tol=1e-13)
     pts = []
     for lam in lambdas:
         s = hy.scale_pair(f, phi, float(lam), spec)
@@ -364,7 +351,7 @@ def realize_moments(mu, label: str = "realized") -> Realization:
     function itself is assembled in closed form,
     f(x) = sum a_k (-i)^k (d/dx)^k [e^(-x^2/4) / (2 sqrt(pi))].
     """
-    values = mu.values if isinstance(mu, MomentSequence) else tuple(mu)
+    values = tuple(mu)
     N = len(values) - 1
     a = [0j] * (N + 1)
     for n in range(N + 1):

@@ -170,6 +170,9 @@ def test_every_subcommand_runs_its_defaults_and_reads_every_option(
     ("support-check", {"S": "x"}, "S: expected a positive number, got 'x'"),
     ("multiplier", {"zeta_max": "big"}, "zeta_max: expected a positive number"),
     ("pair", {"embed": "1e400"}, "embed: expected an expression in z"),
+    ("helgason", {"degree": 9}, "degree: expected an integer from 0 to 8, got 9"),
+    ("gevrey", {"max_order": 5}, "max_order: expected an integer from 0 to 4, got 5"),
+    ("support-check", {"q_max": 2}, "certified truncation tails dominate"),
 ])
 def test_unknown_keys_and_malformed_values_exit_2(tmp_path, capsys, command,
                                                   config, message):

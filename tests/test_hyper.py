@@ -86,6 +86,17 @@ def test_contour_offset_independence():
     assert abs(v1 - v2) < 1e-9
 
 
+def test_pair_lines_shift_invariance():
+    # the bracket of [exp(-z^2), 0] against 1 on two heights, radius fixed at 12
+    f = hy.Hyperfunction1D(ex.parse_expr("exp(-(z*z))"), ex.Const(0j), strip=math.inf,
+                           growth=GrowthClass.exp_decay(1.0, constant=3.0))
+    one = hy.TestFunction(ex.Const(1 + 0j), strip_halfwidth=math.inf,
+                          growth=GrowthClass.tempered(0.0))
+    v1, _ = hy._pair_lines(f, one, ContourSpec(0.25, truncation_radius=12.0, abs_tol=1e-12))
+    v2, _ = hy._pair_lines(f, one, ContourSpec(0.5, truncation_radius=12.0, abs_tol=1e-12))
+    assert abs(v1 - v2) < 1e-10
+
+
 def test_circle_vs_line_route_for_delta():
     f = hy.delta_derivative(2)
     phi = SUITE[0]

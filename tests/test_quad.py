@@ -6,11 +6,10 @@ import pytest
 
 import hypercalc.expr as ex
 from hypercalc.growth import GrowthClass
-from hypercalc.quad import (_WG, _WK, _XK, ContourSpec, ConvergenceError,
-                            DimensionError, DivergentTailError,
-                            _geometric_breakpoints, adaptive_interval,
-                            auto_radius, integrate_box, integrate_line, refine,
-                            tail_bound, verify_growth)
+from hypercalc.hyper import _geometric_breakpoints
+from hypercalc.quad import (_WG, _WK, _XK, ConvergenceError, DimensionError,
+                            DivergentTailError, adaptive_interval, auto_radius,
+                            integrate_box, refine, tail_bound, verify_growth)
 
 
 def test_kronrod_rule_constants():
@@ -88,20 +87,6 @@ def test_adaptive_interval_names_its_subject_at_the_cap():
         adaptive_interval(lambda x: np.exp(-x * x), -8.0, 8.0, 0.0, "gaussian integral")
     assert str(exc.value).startswith("gaussian integral did not reach abs_tol=0 "
                                      "within 4000 subdivisions (error estimate ")
-
-
-def test_integrate_line_shift_invariance():
-    spec1 = ContourSpec(imag_offset=0.25, truncation_radius=12.0, abs_tol=1e-12)
-    spec2 = ContourSpec(imag_offset=0.5, truncation_radius=12.0, abs_tol=1e-12)
-    growth = GrowthClass.exp_decay(1.0, constant=3.0)
-    e = ex.parse_expr("exp(-(z*z))")
-
-    def f(z):
-        return ex.evaluate(e, {"z": z})
-
-    r1 = integrate_line(f, spec1, growth, 0.0)
-    r2 = integrate_line(f, spec2, growth, 0.0)
-    assert abs(r1.value - r2.value) < 1e-10
 
 
 def test_tail_bound_certifies():

@@ -38,6 +38,17 @@ def test_fourier_of_sech_closed_form():
         assert abs(complex(np.asarray(fhat(float(xi)))) - want) < 1e-9
 
 
+def test_fourier_of_two_sided_sech_matches_one_sided():
+    # F_plus = sech/2, F_minus = -sech/2 defines sech too, with both amplitudes live
+    half = ex.parse_expr("sech(z)/2")
+    two = hy.Hyperfunction1D(half, ex.simplify(ex.Neg(half)), strip=1.4,
+                             growth=GrowthClass.exp_decay(1.0, constant=2.0))
+    xis = np.array([-4.0, -1.0, 0.0, 0.5, 2.0, 4.0])
+    got = sp.fourier_transform(two)(xis)
+    want = sp.fourier_transform(CORPUS["sech"])(xis)
+    assert np.max(np.abs(got - want)) <= 1e-10
+
+
 def test_fourier_of_gaussian():
     fhat = sp.fourier_transform(CORPUS["gaussian"])
     for xi in (0.5, 2.0):

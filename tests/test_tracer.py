@@ -24,12 +24,16 @@ def _bindings():
             for attr, value in vars(mod).items() if callable(value)}
 
 
-def test_tracer_installs_and_uninstalls():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
+    return tracer_module.Tracer()
+
+
+def test_tracer_installs_and_uninstalls():
     before = _bindings()
-    tracer = tracer_module.Tracer()
+    tracer = _tracer()
     tracer.install(hypercalc)
     try:
         assert hypercalc.spectral.fourier_transform is not before[
@@ -39,3 +43,19 @@ def test_tracer_installs_and_uninstalls():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_traced_quadrature_counts_nodes():
+    # the node counts read the quadrature result records: r[2] and r.nodes_used
+    corpus = hypercalc.corpus
+    gauss = next(t for t in corpus.test_suite() if t.label == "gauss")
+    tracer = _tracer()
+    tracer.install(hypercalc)
+    try:
+        hypercalc.hyper.pair(corpus.default_corpus()["sech"], gauss)
+        hypercalc.radon.helgason_moment(corpus.multidim_corpus()["gauss2"], 1)
+    finally:
+        tracer.uninstall()
+    counts = tracer.snapshot()
+    assert counts["quad.adaptive_interval.nodes"] > 0
+    assert counts["quad.integrate_box.nodes"] > 0
