@@ -91,9 +91,12 @@ _flag = _parser("true or false", bool)
 _number = _parser("a number", _NUMERIC, float)
 _positive = _parser("a positive number", _NUMERIC, float, lambda x: x > 0)
 _count = _parser("a nonnegative integer", (str, int), int, lambda n: n >= 0)
+_positive_count = _parser("a positive integer", (str, int), int, lambda n: n >= 1)
 # a list keeps JSON numbers as given; text is read as floats
 _reals = _list_of(_parser("a number", _NUMERIC,
                           lambda v: float(v) if isinstance(v, str) else v))
+_direction = _parser("a comma-separated unit vector", (str, list), _reals,
+                     lambda v: abs(math.sqrt(sum(w * w for w in v)) - 1.0) <= 1e-12)
 _complexes = _list_of(_parser("a complex number", _NUMERIC, complex))
 _bound = _parser("two numbers M,R", (str, list), _list_of(_number),
                  lambda b: len(b) == 2)
@@ -331,11 +334,14 @@ def cmd_multiplier(opts: Options, rep: Report):
     except hy.AdmissibilityError:
         ok = False
     rep.put(phi=name, K_terms=info.K_terms, min_ratio=info.min_ratio,
-            c_fitted=info.c_fitted, sign_flip=info.sign_flip, admissible=ok)
+            c_fitted=info.c_fitted, sign_flip=info.sign_flip, admissible=ok,
+            tail_ratio=info.tail_ratio, converged=info.converged)
     rep.table(["zeta_re", "zeta_im", "abs_J"],
               [[z.real, z.imag, abs(Jv)] for z, Jv in info.samples])
     rep.say(f"J built with {info.K_terms} factors; admissible: {ok}; "
             f"min growth ratio {info.min_ratio:.3g}")
+    rep.say(f"(zeta_max/m_K)^2 = {info.tail_ratio:.3g}; "
+            f"converged to 1e-16: {info.converged}")
     # finite-order application cross-check: (1 - D^2) on delta against phi
     J2 = hy.LocalOperator(coefficients=(1.0, 0.0, -1.0), label="1-D^2")
     g = hy.apply_local_operator(J2, hy.delta_derivative(0))
@@ -525,9 +531,9 @@ OPTIONS = {  # option -> (parser, help)
                                         + ", ".join(_MULTIPLIER_PHIS)),
     "zeta_max": (_positive, "largest |zeta| sampled for the growth bound"),
     "seed": (_count, "random seed"),
-    "directions": (_count, "number of directions"),
+    "directions": (_positive_count, "number of directions"),
     "degree": (_count_to(rd.HELGASON_DEGREE_CAP), "largest polynomial degree"),
-    "omega": (_reals, "comma-separated unit direction"),
+    "omega": (_direction, "comma-separated unit direction"),
     "tau_imag": (_number, "imaginary part of the base point tau"),
     "max_order": (_count_to(rd.GEVREY_ORDER_CAP), "largest derivative order probed"),
     "a": (_number, "point of the delta family mu^k = a^k"),

@@ -246,6 +246,10 @@ def delta_derivative(n: int = 0, at: float = 0.0) -> Hyperfunction1D:
 
 
 _WINDOW = 9.0  # standardize integrates over |Re(z - w)| <= 9, where e^(-81) < 1e-35
+# entries per row block of standardize's sums: their complex temporaries
+# (64 KB) stay below glibc's 128 KB default mmap threshold, so they come from
+# the heap and are not mapped and faulted in afresh for every block
+_STD_BLOCK = 1 << 12
 
 
 def _std_kernel(d):
@@ -413,7 +417,8 @@ def standardize(f: Hyperfunction1D) -> Hyperfunction1D:
             w = x0 + radius * np.exp(1j * theta)
             fw = f.f_plus(w) * (w - x0)
             return -(2j * math.pi / n) * in_row_blocks(
-                lambda block: (_std_kernel(block[:, None] - w) * fw).sum(axis=-1), zs, n)
+                lambda block: (_std_kernel(block[:, None] - w) * fw).sum(axis=-1), zs, n,
+                _STD_BLOCK)
 
         return refine(evaluate, 32, 512, abs_tol, f"standardized G at Im z = {y:g}",
                       "nodes")[0]
@@ -430,7 +435,7 @@ def standardize(f: Hyperfunction1D) -> Hyperfunction1D:
             return in_row_blocks(lambda x: (
                 (f.f_plus(x[:, None] + u + 1j * eta) * kp).sum(axis=-1)
                 - (f.f_minus(x[:, None] + u - 1j * eta) * km).sum(axis=-1)),
-                zs.real, len(u))
+                zs.real, len(u), _STD_BLOCK)
 
         return refine(evaluate, 16, 1024, abs_tol, f"standardized G at Im z = {y:g}")[0]
 

@@ -4,7 +4,11 @@
 rule per panel (21 points, the 10 Gauss points among them): a round
 evaluates all its new panels in one call of the integrand.  Truncation
 tails of line integrals are certified from a declared growth class and a
-polynomial weight by ``tail_bound``; ``auto_radius`` inverts it.
+polynomial weight by ``tail_bound``; ``auto_radius`` inverts it by
+bisection, down to adjacent floats.  The weighted tail of an exp_decay class
+is an upper incomplete gamma function, in closed form for integer order
+(DLMF 8.4.8): Gamma(n, y) = (n-1)! e^(-y) sum_{k<n} y^k / k!; a non-integer
+order s is bounded above by y^(s - ceil(s)) Gamma(ceil(s), y).
 Exponential sums over a composite Gauss-Legendre rule factor each node
 m_p + h x_k into its panel midpoint and offset, and the equally spaced
 midpoints into a coarse and a fine step, so they take about 2 sqrt(panels)
@@ -27,7 +31,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaincc, gamma as gamma_fn
+# numpy loads numpy.polynomial on first use; importing it here keeps that
+# import out of the first call that builds a rule
+from numpy.polynomial.legendre import leggauss
 
 from .growth import GrowthClass
 
@@ -75,7 +81,7 @@ def _leggauss(m):
     """Nodes and weights of the m-point rule on [-1, 1], computed once per m
     and shared read-only."""
     if m not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(m)
+        x, w = leggauss(m)
         x.flags.writeable = False
         w.flags.writeable = False
         _GL_CACHE[m] = (x, w)
@@ -290,12 +296,15 @@ def auto_radius(growth: GrowthClass, abs_tol: float, weight_exponent: float = 0.
         hi *= 2.0
     else:
         raise ConvergenceError("tail target unreachable below the radius cap")
+    lo_tested = False  # lo = 1 is the one end never compared with the target
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == hi or (mid == lo and lo_tested):
+            break  # adjacent floats: every further step repeats this one
         if tail_bound(growth, weight_exponent, mid) <= target:
             hi = mid
         else:
-            lo = mid
+            lo, lo_tested = mid, True
     return hi
 
 
@@ -345,7 +354,7 @@ def tail_bound(growth: GrowthClass, weight_exponent: float, radius: float) -> fl
         if w <= 0:
             return 2.0 * c * (1.0 + r) ** w * math.exp(-d * r) / d
         # int_R^inf x^w e^(-d x) dx = d^(-w-1) Gamma(w+1, d R)
-        return 2.0 * c * d ** (-w - 1.0) * gamma_fn(w + 1.0) * gammaincc(w + 1.0, d * r)
+        return 2.0 * c * d ** (-w - 1.0) * _upper_gamma(w + 1.0, d * r)
     if growth.kind == "tempered":
         p = growth.gamma + w
         if p >= -1.0:
@@ -358,6 +367,18 @@ def tail_bound(growth: GrowthClass, weight_exponent: float, radius: float) -> fl
         surrogate = GrowthClass.tempered(-(w + 2.0), constant=c)
         return tail_bound(surrogate, w, r)
     raise DivergentTailError("infra-exponential growth has no convergent line tail")
+
+
+def _upper_gamma(s: float, y: float) -> float:
+    """Gamma(s, y) for s >= 1 and y > 0: (n-1)! e^(-y) sum_{k<n} y^k / k! with
+    n = ceil(s), times y^(s-n).  Exact for integer s; otherwise an upper
+    bound, since t^(s-n) <= y^(s-n) for t >= y."""
+    n = math.ceil(s)
+    total, term = 0.0, 1.0
+    for k in range(n):  # term = y^k / k!
+        total += term
+        term *= y / (k + 1)
+    return y ** (s - n) * math.factorial(n - 1) * math.exp(-y) * total
 
 
 # ---------------------------------------------------------------------------

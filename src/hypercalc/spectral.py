@@ -9,17 +9,26 @@ evaluator: a scalar xi is a batch of one, and derivative order k inserts
 branches and the structural f0 evaluate their exp(+-i t x) sums over
 composite Gauss-Legendre grids with the factored kernel
 ``quad.CompositeRule.exp_sum``.
+
+The interpolation and special functions here are numpy code.  A tabulated
+field is the not-a-knot cubic spline on 2048 uniform knots: its knot slopes
+solve s_(i-1) + 4 s_i + s_(i+1) = 3 (d_(i-1) + d_i), d the chord slopes, by
+the Green's function of that stencil plus its two decaying homogeneous
+solutions, weighted to meet the not-a-knot end rows; it is evaluated by
+Horner's rule.  The 1/xi^2 tail of the structural f0 is int_a^inf e^(it) / t^2 dt = E2(-ia) / a,
+with E2(-ia) = e^(ia) + ia E1(-ia) from the power series of E1 for a <= 2
+(DLMF 6.6.2) and the continued fraction of E2 above (Numerical Recipes,
+3rd ed., section 6.3).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import sici
 
 from . import expr as ex
 from . import hyper as hy
@@ -42,6 +51,57 @@ __all__ = [
 
 
 _TABLE_KNOTS = 2048  # spline knots of a tabulated field
+# points per block of a tabulated field's evaluation: its real temporaries
+# (64 KB) stay below glibc's 128 KB default mmap threshold, so they come from
+# the heap and are not mapped and faulted in afresh on every call
+_TABLE_BLOCK = 8192
+
+
+_SPLINE_ROOT = math.sqrt(3.0) - 2.0  # root of x^2 + 4x + 1 inside the unit disk
+_SPLINE_REACH = 40  # |root|^40 < 2e-23: the Green's function is cut there
+# Green's function of s_(i-1) + 4 s_i + s_(i+1) on the integers: root^|k| / (2 sqrt 3)
+_SPLINE_GREEN = (_SPLINE_ROOT ** np.abs(np.arange(-_SPLINE_REACH, _SPLINE_REACH + 1))
+                 / (2.0 * math.sqrt(3.0)))
+
+
+@lru_cache(maxsize=None)
+def _spline_end_mode(n: int) -> np.ndarray:
+    """root^i for i < n, the solution of the interior rows that decays away
+    from the first knot; reversed, the one that decays from the last."""
+    mode = _SPLINE_ROOT ** np.arange(n)
+    mode.flags.writeable = False
+    return mode
+
+
+def _spline_coefficients(lo: float, hi: float, values) -> np.ndarray:
+    """Not-a-knot cubic spline through ``values`` at len(values) >= 4 uniform
+    knots x_i on [lo, hi]: rows c3, c2, c1, c0 of the (4, n - 1) result are
+    the coefficients of (x - x_i)^3, ..., 1 on [x_i, x_(i+1)].
+
+    The knot slopes s solve the interior rows s_(i-1) + 4 s_i + s_(i+1) =
+    3 (d_(i-1) + d_i), d the chord slopes, and the end rows s_0 + 2 s_1 =
+    (5 d_0 + d_1) / 2 and 2 s_(n-2) + s_(n-1) = (d_(n-3) + 5 d_(n-2)) / 2.
+    The Green's function gives a solution of the interior rows; the two
+    decaying solutions of their homogeneous form, weighted to meet the end
+    rows, complete it.
+    """
+    y = np.asarray(values, dtype=complex)
+    n = len(y)
+    h = (hi - lo) / (n - 1)
+    chord = np.diff(y) / h
+    inner = np.zeros(n, dtype=complex)
+    inner[1:-1] = 3.0 * (chord[:-1] + chord[1:])
+    slope = np.convolve(inner, _SPLINE_GREEN)[_SPLINE_REACH:_SPLINE_REACH + n]
+    first = _spline_end_mode(n)
+    last = first[::-1]
+    rows = np.array([[first[0] + 2.0 * first[1], last[0] + 2.0 * last[1]],
+                     [2.0 * first[-2] + first[-1], 2.0 * last[-2] + last[-1]]])
+    misses = np.array([0.5 * (5.0 * chord[0] + chord[1]) - slope[0] - 2.0 * slope[1],
+                       0.5 * (chord[-2] + 5.0 * chord[-1]) - 2.0 * slope[-2] - slope[-1]])
+    a, b = np.linalg.solve(rows, misses)
+    slope = slope + a * first + b * last
+    t = (slope[:-1] + slope[1:] - 2.0 * chord) / h
+    return np.stack([t / h, (chord - slope[:-1]) / h - t, slope[:-1], y[:-1]])
 
 
 @dataclass(frozen=True)
@@ -58,14 +118,29 @@ class SmoothField:
         return self.evaluator(xi, order)
 
     def tabulate(self, lo: float, hi: float) -> "SmoothField":
-        """Order-0 copy backed by a cubic spline on [lo, hi]."""
+        """Order-0 copy backed by a cubic spline on [lo, hi], constant beyond."""
         grid = np.linspace(lo, hi, _TABLE_KNOTS)
-        spline = CubicSpline(grid, np.asarray(self.evaluator(grid, 0), dtype=complex))
+        coef = _spline_coefficients(lo, hi, self.evaluator(grid, 0))
+        re, im = np.ascontiguousarray(coef.real), np.ascontiguousarray(coef.imag)
+        h = (hi - lo) / (_TABLE_KNOTS - 1)
 
         def evaluator(xi, order=0):
             if order:
                 raise NotImplementedError("tabulated fields expose only order 0")
-            return spline(np.clip(np.real(xi), lo, hi))
+            x = np.clip(np.ravel(np.real(xi)), lo, hi)
+            out = np.empty(len(x), dtype=complex)
+            for start in range(0, len(x), _TABLE_BLOCK):
+                xb = x[start:start + _TABLE_BLOCK]
+                i = ((xb - lo) * (1.0 / h)).astype(np.intp)
+                np.minimum(i, _TABLE_KNOTS - 2, out=i)
+                dx = xb - grid.take(i)
+                for part, (c3, c2, c1, c0) in ((out.real, re), (out.imag, im)):
+                    acc = c3.take(i)  # Horner in place, on real arrays
+                    for c in (c2, c1, c0):
+                        acc *= dx
+                        acc += c.take(i)
+                    part[start:start + _TABLE_BLOCK] = acc
+            return out.reshape(np.shape(xi))
 
         return SmoothField(evaluator, growth=self.growth, label=f"tab({self.label})",
                            cheap=True)
@@ -388,6 +463,10 @@ def realize_moments(mu, label: str = "realized") -> Realization:
 # infra-exponential multipliers
 
 
+_MULTIPLIER_TARGET = 1e-16  # (zeta_max / m_K)^2 the automatic K aims for
+_MULTIPLIER_CAP = 200000  # the automatic K stops growing at its first value past this
+
+
 @dataclass(frozen=True)
 class MultiplierReport:
     K_terms: int
@@ -395,6 +474,8 @@ class MultiplierReport:
     c_fitted: float
     sign_flip: bool
     samples: tuple
+    tail_ratio: float  # (zeta_max / m_K)^2 at the last factor, m_k = k phi(k)
+    converged: bool  # tail_ratio <= _MULTIPLIER_TARGET
 
 
 def build_multiplier(phi_table: Callable[[float], float],
@@ -402,7 +483,9 @@ def build_multiplier(phi_table: Callable[[float], float],
                      label: str = "J"):
     """Truncated product J(zeta) = prod_k (1 + zeta^2 / (k phi(k))^2).
 
-    Returns (LocalOperator, MultiplierReport).  The report samples the lower
+    Returns (LocalOperator, MultiplierReport).  Without ``K_terms``, K grows
+    until (zeta_max / m_K)^2 <= 1e-16 or K passes 200000; the report carries
+    the ratio reached and whether it met 1e-16.  The report samples the lower
     bound |J(zeta)| e^(-c |zeta| / phi(|zeta|+1)) on rays with
     |Im zeta| <= max(|Re zeta|/sqrt(3), 1).
     """
@@ -411,13 +494,14 @@ def build_multiplier(phi_table: Callable[[float], float],
         raise ValueError("phi_table must be positive and monotone increasing")
     if K_terms is None:
         K_terms = 1
-        while K_terms < 200000:
+        while K_terms < _MULTIPLIER_CAP:
             m = K_terms * phi_table(float(K_terms))
-            if (zeta_max / m) ** 2 < 1e-16:
+            if (zeta_max / m) ** 2 <= _MULTIPLIER_TARGET:
                 break
             K_terms += max(1, K_terms // 8)
     if K_terms < 1:
         raise ValueError("K_terms must be >= 1")
+    tail_ratio = (zeta_max / (K_terms * phi_table(float(K_terms)))) ** 2
     ms = np.array([k * phi_table(float(k)) for k in range(1, K_terms + 1)])
     inv_m2 = 1.0 / ms ** 2
 
@@ -460,7 +544,9 @@ def build_multiplier(phi_table: Callable[[float], float],
     ratios = [abs(Jv) * math.exp(-c * abs(z) / phi_table(abs(z) + 1.0))
               for z, Jv in samples]
     report = MultiplierReport(K_terms=K_terms, min_ratio=min(ratios) if ratios else 1.0,
-                              c_fitted=c, sign_flip=sign_flip, samples=tuple(samples))
+                              c_fitted=c, sign_flip=sign_flip, samples=tuple(samples),
+                              tail_ratio=tail_ratio,
+                              converged=tail_ratio <= _MULTIPLIER_TARGET)
     op = LocalOperator(coefficients, symbol_fn=symbol, label=label)
     return op, report
 
@@ -469,15 +555,43 @@ def build_multiplier(phi_table: Callable[[float], float],
 # structural representation f = J(D) (1 - D^2) f0
 
 
+_EULER_GAMMA = 0.57721566490153286061
+
+
+def _e2_imaginary(a):
+    """E2(-ia) = a int_a^inf e^(it) / t^2 dt for an array a >= 0.
+
+    For a <= 2, E2(-ia) = e^(ia) + ia E1(-ia) with the power series
+    E1(-ia) = -gamma - ln a + i pi/2 - sum_(k>=1) (ia)^k / (k k!), 40 terms;
+    above, the continued fraction E2(z) = e^(-z) / (z + 2 - 1*2 / (z + 4 -
+    2*3 / (z + 6 - ...))) at depth 100, summed from its tail.  Each entry
+    takes the same fixed number of steps, so it does not depend on the rest
+    of the array; the relative error is below 1e-14 (mpmath).
+    """
+    a = np.asarray(a, dtype=float)
+    out = np.ones(a.shape, dtype=complex)  # E2(0) = 1
+    small = (a > 0) & (a <= 2.0)
+    s = a[small]
+    term, series = np.ones(s.shape, dtype=complex), np.zeros(s.shape, dtype=complex)
+    for k in range(1, 41):
+        term = term * (1j * s / k)
+        series = series + term / k
+    e1 = -_EULER_GAMMA - np.log(s) + 0.5j * math.pi - series
+    out[small] = np.exp(1j * s) + 1j * s * e1
+    large = a > 2.0
+    z = -1j * a[large]
+    tail = np.zeros(z.shape, dtype=complex)
+    for k in range(100, 0, -1):
+        tail = k * (k + 1) / (z + (2 * k + 2) - tail)
+    out[large] = np.exp(-z) / (z + 2 - tail)
+    return out
+
+
 def _tail_kernel(x, xi_max):
-    """I(x) = int_{xi_max}^inf e^(i x xi) / xi^2 d xi in closed form."""
-    a = abs(x) * xi_max
-    if a < 1e-12:
-        return complex(1.0 / xi_max)
-    si, ci = sici(a)
-    real = (math.cos(a) / a - (math.pi / 2.0 - si)) * abs(x)
-    imag = (math.sin(a) / a - ci) * abs(x)
-    return complex(real, imag if x >= 0 else -imag)
+    """I(x) = int_{xi_max}^inf e^(i x xi) / xi^2 d xi = E2(-i x xi_max) / xi_max
+    for an array x, in closed form (the conjugate for x < 0)."""
+    k = _e2_imaginary(np.abs(x) * xi_max) / xi_max
+    return np.where(x >= 0, k, k.conj())
 
 
 @dataclass(frozen=True)
@@ -559,10 +673,8 @@ def structural_representation(f: Hyperfunction1D,
 
     def f0(x):
         xr = np.atleast_1d(np.real(np.asarray(x))).astype(float)
-        vals = rule.exp_sum(xr, wg, 1j)
-        for i, xv in enumerate(xr):
-            vals[i] += (c_plus * _tail_kernel(xv, xi_max)
-                        + c_minus * _tail_kernel(-xv, xi_max))
+        tail = _tail_kernel(xr, xi_max)  # I(-x) is its conjugate
+        vals = rule.exp_sum(xr, wg, 1j) + (c_plus * tail + c_minus * tail.conj())
         vals = vals / (2.0 * math.pi)
         return vals if np.ndim(x) else complex(vals[0])
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +177,8 @@ def test_every_subcommand_runs_its_defaults_and_reads_every_option(
     ("helgason", {"degree": 9}, "degree: expected an integer from 0 to 8, got 9"),
     ("gevrey", {"max_order": 5}, "max_order: expected an integer from 0 to 4, got 5"),
     ("support-check", {"q_max": 2}, "certified truncation tails dominate"),
+    ("gevrey", {"omega": [1, 1]}, "omega: expected a comma-separated unit vector"),
+    ("radon", {"directions": 0}, "directions: expected a positive integer, got 0"),
 ])
 def test_unknown_keys_and_malformed_values_exit_2(tmp_path, capsys, command,
                                                   config, message):
@@ -182,6 +188,24 @@ def test_unknown_keys_and_malformed_values_exit_2(tmp_path, capsys, command,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_multiplier_report_says_whether_k_reached_its_target(tmp_path):
+    code, out = run(["multiplier", "--phi", "log"], tmp_path)
+    assert code == 0
+    rec = json.loads((out / "multiplier.json").read_text())
+    assert rec["K_terms"] == 208621 and rec["converged"] is False
+    assert abs(rec["tail_ratio"] - 1.53e-11) <= 0.01e-11
+
+
+def test_importing_the_package_loads_no_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import hypercalc.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_corpus_file_round_trip(tmp_path):

@@ -7,9 +7,11 @@ import pytest
 import hypercalc.expr as ex
 from hypercalc.growth import GrowthClass
 from hypercalc.hyper import _geometric_breakpoints
+import hypercalc.quad as quad
 from hypercalc.quad import (_WG, _WK, _XK, ConvergenceError, DimensionError,
-                            DivergentTailError, adaptive_interval, auto_radius,
-                            integrate_box, refine, tail_bound, verify_growth)
+                            DivergentTailError, _upper_gamma, adaptive_interval,
+                            auto_radius, integrate_box, refine, tail_bound,
+                            verify_growth)
 
 
 def test_kronrod_rule_constants():
@@ -106,6 +108,86 @@ def test_auto_radius_meets_tolerance():
     g = GrowthClass.exp_decay(1.0, constant=1.0)
     r = auto_radius(g, 1e-10)
     assert tail_bound(g, 0.0, r) <= 1e-10
+
+
+def _auto_radius_80_steps(growth, abs_tol, w):
+    # auto_radius as it was: always 80 bisection steps
+    target = abs_tol / 10.0
+    lo, hi = 1.0, 2.0
+    while tail_bound(growth, w, hi) > target:
+        hi *= 2.0
+        if hi >= 1e12:
+            raise ConvergenceError("tail target unreachable below the radius cap")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if tail_bound(growth, w, mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_auto_radius_stops_at_adjacent_floats_with_the_80_step_radius(monkeypatch):
+    classes = [GrowthClass.exp_decay(d, constant=c) for d in (0.25, 1.0, 3.0)
+               for c in (1.0, 40.0)]
+    classes += [GrowthClass.tempered(-9.5, constant=2.0), GrowthClass.asymptotic(),
+                GrowthClass.asymptotic(constant=1e-3)]
+    calls = []
+    counted = tail_bound
+
+    def counting(*args):
+        calls.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(quad, "tail_bound", counting)
+    compared = 0
+    for g in classes:
+        for w in range(7):
+            for tol in (1e-6, 1e-8, 1e-10, 1e-11, 1e-13):
+                try:
+                    want = _auto_radius_80_steps(g, tol, float(w))
+                except ConvergenceError:
+                    with pytest.raises(ConvergenceError):
+                        auto_radius(g, tol, float(w))
+                    continue
+                calls.clear()
+                assert auto_radius(g, tol, float(w)) == want, (g, w, tol)
+                made = sum(1 for args in calls if args[0] is g)  # not the surrogate's
+                assert made < 60 + math.log2(want), (g, w, tol, made)
+                compared += 1
+    assert compared > 150
+    # the tail is below target already at r = 1, the lower end that is never
+    # tested: the 80 steps end at 1.0 and so must the early stop
+    steep = GrowthClass.exp_decay(50.0, constant=1e-3)
+    assert tail_bound(steep, 0.0, 1.0) <= 1e-7
+    assert auto_radius(steep, 1e-6) == _auto_radius_80_steps(steep, 1e-6, 0.0) == 1.0
+
+
+def test_upper_gamma_against_mpmath():
+    with mp.workdps(30):
+        for s in range(2, 8):
+            for y in np.geomspace(1e-3, 700.0, 41):
+                want = mp.gammainc(s, float(y))
+                got = _upper_gamma(float(s), float(y))
+                assert abs(got - want) <= 1e-14 * want, (s, y)
+        # a non-integer order gets the upper bound y^(s - ceil s) Gamma(ceil s, y)
+        for s in (1.5, 2.25, 3.7, 6.01):
+            n = math.ceil(s)
+            for y in np.geomspace(1e-3, 700.0, 21):
+                got = _upper_gamma(s, float(y))
+                assert got >= mp.gammainc(s, float(y)), (s, y)
+                bound = mp.mpf(float(y)) ** (s - n) * mp.gammainc(n, float(y))
+                assert abs(got - bound) <= 1e-14 * bound, (s, y)
+
+
+def test_exp_decay_tail_bound_is_the_incomplete_gamma_tail():
+    # 2 C int_R^inf x^w e^(-d x) dx = 2 C d^(-w-1) Gamma(w+1, d R)
+    with mp.workdps(30):
+        for w in range(1, 7):
+            for d, c, r in ((0.5, 3.0, 7.0), (1.4, 1.0, 30.0), (2.0, 10.0, 0.75)):
+                got = tail_bound(GrowthClass.exp_decay(d, constant=c), float(w), r)
+                want = 2 * c * mp.quad(lambda x: x ** w * mp.exp(-d * x), [r, mp.inf])
+                assert abs(got - want) <= 1e-14 * want, (w, d, r)
 
 
 def test_integrate_box_gaussian_2d():

@@ -163,6 +163,17 @@ def test_build_multiplier_polynomial_case():
     assert abs(got - 3.875) < 1e-10
 
 
+def test_build_multiplier_reports_its_cap():
+    # phi = log: the factor count stops past 200000 with (zeta_max/m_K)^2
+    # still 1.5e-11, far above the 1e-16 target
+    _, info = sp.build_multiplier(lambda k: math.log(k + 1.0), zeta_max=10.0)
+    assert info.K_terms == 208621
+    assert not info.converged
+    assert abs(info.tail_ratio - 1.53e-11) <= 0.01e-11
+    _, info = sp.build_multiplier(float, zeta_max=10.0)
+    assert info.converged and info.tail_ratio <= 1e-16
+
+
 def test_symbol_only_operator_is_not_applied_as_the_identity():
     # 208 621 factors: J is known only through its symbol, J(1) = 2.428
     J, _ = sp.build_multiplier(math.sqrt)
@@ -197,3 +208,53 @@ def test_structural_representation_of_gaussian():
     direct = hy.pair(f, phi)
     recon = rep.reconstruct_pairing(phi)
     assert abs(direct - recon) < 1e-5 * (1 + abs(direct))
+
+
+def test_tail_kernel_against_mpmath_sine_and_cosine_integrals():
+    # I(x) = int_xi_max^inf e^(i x xi) / xi^2 d xi = |x| int_a^inf e^(+-it) / t^2 dt,
+    # a = |x| xi_max, with int_a^inf e^(it) / t^2 dt
+    #   = cos(a)/a - (pi/2 - Si(a)) + i (sin(a)/a - Ci(a))
+    with mp.workdps(40):
+        for xi_max in (16.0, 128.0):
+            for mag in np.concatenate([np.geomspace(1e-9, 1e2, 45), [2.0 / xi_max]]):
+                a = mp.mpf(float(mag)) * xi_max
+                re = mp.cos(a) / a - (mp.pi / 2 - mp.si(a))
+                im = mp.sin(a) / a - mp.ci(a)
+                for x in (float(mag), -float(mag)):
+                    want = complex(abs(x) * mp.mpc(re, im if x > 0 else -im))
+                    got = complex(sp._tail_kernel(np.array([x]), xi_max)[0])
+                    assert abs(got - want) <= 1e-14 * abs(want), (x, xi_max)
+        assert sp._tail_kernel(np.array([0.0]), 16.0)[0] == 1.0 / 16.0
+
+
+def _cubic(x):
+    return (1 + 2j) - 0.5 * x + (0.3 - 0.1j) * x ** 2 + 0.02 * x ** 3
+
+
+def test_tabulated_field_reproduces_a_cubic():
+    field = sp.SmoothField(lambda xi, order: _cubic(np.asarray(xi)), label="cubic")
+    tab = field.tabulate(-3.0, 5.0)
+    x = np.random.default_rng(3).uniform(-3.0, 5.0, 20000)  # several evaluation blocks
+    scale = np.max(np.abs(_cubic(x)))
+    assert np.max(np.abs(tab(x) - _cubic(x))) <= 1e-13 * scale
+    # constant beyond the knots, and order 0 only
+    assert tab(7.5) == tab(5.0) and tab(-4.0) == tab(-3.0)
+    with pytest.raises(NotImplementedError):
+        tab(0.0, 1)
+
+
+def test_spline_interpolates_is_c2_and_not_a_knot():
+    y = np.array([1.0, 1j]) @ np.random.default_rng(5).uniform(-1, 1, (2, 40))
+    c3, c2, c1, c0 = sp._spline_coefficients(0.0, 39.0, y)  # unit spacing
+    # value, first, second derivative at the right end of each interval
+    end = (c3 + c2 + c1 + c0, 3 * c3 + 2 * c2 + c1, 6 * c3 + 2 * c2)
+    scale = np.max(np.abs([c3, c2, c1, c0]))
+    assert np.array_equal(c0, y[:-1])
+    assert np.max(np.abs(end[0] - y[1:])) <= 1e-13 * scale
+    assert np.max(np.abs(end[1][:-1] - c1[1:])) <= 1e-13 * scale
+    assert np.max(np.abs(end[2][:-1] - 2 * c2[1:])) <= 1e-13 * scale
+    # not-a-knot: the third derivative is continuous at the second and the
+    # second-to-last knots
+    assert abs(c3[0] - c3[1]) <= 1e-13 * scale
+    assert abs(c3[-2] - c3[-1]) <= 1e-13 * scale
+    assert abs(c3[1] - c3[2]) > 1e-3  # and generally not at the others
