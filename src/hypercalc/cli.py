@@ -439,6 +439,9 @@ def cmd_gevrey(opts: Options, rep: Report):
     f = _get_multidim(opts["label"])
     om = tuple(opts["omega"])
     tau0 = complex(0.0, opts["tau_imag"])
+    if len(om) != f.dimension:
+        raise UsageError(f"omega: expected {f.dimension} components for "
+                         f"{opts['label']}, got {len(om)}")
     fit = rd.gevrey_probe(f, om, tau0, max_order=opts["max_order"])
     rep.put(label=getattr(f, "label", ""), C=fit.C, v=fit.v,
             envelope_ok=fit.envelope_ok, negligible=fit.negligible,

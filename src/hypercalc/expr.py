@@ -68,6 +68,7 @@ def _intern(cls, key, *values):
             for name, value in zip(cls._fields, values):
                 object.__setattr__(node, name, value)
             object.__setattr__(node, "_plan", None)
+            object.__setattr__(node, "_real_plan", None)
             _NODES[key] = node
     return node
 
@@ -75,7 +76,8 @@ def _intern(cls, key, *values):
 class Expr:
     """An immutable, interned expression node; equality is identity."""
 
-    __slots__ = ("_plan", "__weakref__")  # _plan: evaluate's compiled program
+    # evaluate's compiled program, and its variant for float64 arrays
+    __slots__ = ("_plan", "_real_plan", "__weakref__")
     _fields = ()
 
     def __call__(self, z, **coords):
@@ -437,10 +439,16 @@ def print_expr(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 def _sech(u):
     # 1/cosh(x + iy) = 2q / ((a+b) cos y + i (a-b) sin y) with q = e^(-|x|) and
-    # (a, b) = (1, q^2) for x >= 0, (q^2, 1) otherwise: one real exp, no overflow
+    # (a, b) = (1, q^2) for x >= 0, (q^2, 1) otherwise: one real exp, no overflow;
+    # for float64 u, y = 0 leaves 2q / (1 + q^2)
+    if getattr(u, "dtype", None) is _FLOAT64:
+        q = np.exp(-np.abs(u))
+        return 2.0 * q / (1.0 + q * q)
     x, y = np.real(u), np.imag(u)
     q = np.exp(-np.abs(x))
     q2 = q * q
@@ -525,6 +533,13 @@ def evaluate(e: Expr, env):
     ``env`` maps coordinate names to values; a bare complex number is
     shorthand for ``{"z": value}``.  Each distinct subexpression is evaluated
     once; the compiled plan is kept on ``e`` and goes with it.
+
+    The dtype rule: when every env value is a float64 ndarray, each
+    constant with zero imaginary part enters as its real part, so a plan
+    whose constants are all real runs and returns in float64 (exponents are
+    integers, so no real value turns complex on the way).  Any other env,
+    Python numbers or complex arrays, keeps the complex constants and so a
+    complex result.
     """
     if not isinstance(env, dict):
         env = {"z": env}
@@ -534,6 +549,17 @@ def evaluate(e: Expr, env):
     if plan is None:
         plan = _compile(e)
         object.__setattr__(e, "_plan", plan)
+    real = bool(env)
+    for v in env.values():  # a loop, cheaper than all(...) on every call
+        if type(v) is not np.ndarray or v.dtype is not _FLOAT64:
+            real = False
+            break
+    if real:
+        if e._real_plan is None:
+            object.__setattr__(e, "_real_plan", tuple(
+                (op, arg.real) if op == _CONST and arg.imag == 0 else (op, arg)
+                for op, arg in plan))
+        plan = e._real_plan
     stack = []
     push, pop = stack.append, stack.pop
     saved = {}

@@ -27,6 +27,7 @@ nodes) sums and of the Radon projection.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -90,6 +91,19 @@ def _leggauss(m):
 
 # (t, panel) entries per block of CompositeRule.exp_sum; bounds its memory
 _EXP_SUM_BLOCK = 1 << 18
+_WORKSPACE = threading.local()
+
+
+def _workspace(n):
+    """The calling thread's complex scratch buffer, grown to n entries and
+    kept.  exp_sum's (t x panel) product, up to 4 MB a block, lives in it:
+    a fresh array that size may be mapped anew by the allocator, about a
+    thousand page faults a block, depending on what earlier calls freed.
+    Each block overwrites the part it reads, so no value depends on it."""
+    buf = getattr(_WORKSPACE, "buf", None)
+    if buf is None or buf.size < n:
+        buf = _WORKSPACE.buf = np.empty(n, dtype=complex)
+    return buf
 
 
 class CompositeRule:
@@ -135,13 +149,16 @@ class CompositeRule:
         fine_mid = self.mid[:fine]
         coarse_shift = self.mid[::fine] - self.mid[0]
         out = np.empty((flat.size, rows), dtype=complex)
-        step = max(1, _EXP_SUM_BLOCK // (rows * coarse * fine))
+        cols = rows * coarse * fine
+        step = max(1, _EXP_SUM_BLOCK // cols)
+        work = _workspace(min(step, flat.size) * cols)
         for start in range(0, flat.size, step):
             ct = c * flat[start:start + step]
             e_node = np.exp(np.multiply.outer(ct, self.half * self.nodes))
             e_fine = np.exp(np.multiply.outer(ct, fine_mid))
             e_coarse = np.exp(np.multiply.outer(ct, coarse_shift))
-            inner = (e_node @ a).reshape(len(ct), rows * coarse, fine)
+            inner = np.matmul(e_node, a, out=work[:len(ct) * cols].reshape(len(ct), cols))
+            inner = inner.reshape(len(ct), rows * coarse, fine)
             by_step = (inner @ e_fine[:, :, None]).reshape(len(ct), rows, coarse)
             out[start:start + step] = (by_step @ e_coarse[:, :, None])[:, :, 0]
         return out.T.reshape(amps.shape[:-1] + t.shape)
@@ -204,10 +221,13 @@ _ROW_BLOCK = 1 << 15  # entries of a (points x nodes) product per block
 def in_row_blocks(rows: Callable, points, width: int, entries: int = _ROW_BLOCK):
     """``rows(points[i:j])`` over blocks whose (points x ``width``) products
     hold at most ``entries``; a scalar result fills its block.  ``rows``
-    reduces each row on its own, so values do not depend on the blocking."""
+    reduces each row on its own, so values do not depend on the blocking.
+    The result is float64 when ``rows`` returns real values, else complex."""
     step = max(1, entries // width)
-    out = np.empty(len(points), dtype=complex)
-    for start in range(0, len(points), step):
+    first = rows(points[:step])
+    out = np.empty(len(points), dtype=complex if np.iscomplexobj(first) else float)
+    out[:step] = first
+    for start in range(step, len(points), step):
         out[start:start + step] = rows(points[start:start + step])
     return out
 

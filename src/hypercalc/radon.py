@@ -65,7 +65,10 @@ class SmoothRapid:
             raise DimensionError(f"dimension {self.dimension} not supported")
 
     def __call__(self, pts):
-        pts = np.asarray(pts, dtype=complex)
+        """f at the (..., n) points ``pts``: float64 for real points, complex
+        for complex ones."""
+        pts = np.asarray(pts)
+        pts = pts.astype(complex if np.iscomplexobj(pts) else float, copy=False)
         env = {f"x{i + 1}": pts[..., i] for i in range(self.dimension)}
         return ex.evaluate(self.expr, env)
 
@@ -145,8 +148,11 @@ def _orthonormal_frame(omega):
     return [tuple(v) for v in frame]
 
 
-def _check_unit(omega):
+def _check_unit(omega, dimension: int):
     omega = tuple(float(w) for w in omega)
+    if len(omega) != dimension:
+        raise ValueError(f"direction has {len(omega)} components, the input "
+                         f"has dimension {dimension}")
     norm = math.sqrt(sum(w * w for w in omega))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"direction must be a unit vector (|omega| = {norm:g})")
@@ -165,10 +171,11 @@ def _projected_terms(f: DeltaCombo, omega):
             yield adot, sum(alpha), c
 
 
-# f's points per projection block (4 MB of complex values).  The Cauchy sums'
-# 2^15 here left glibc's mmap threshold low enough to slow the later Fourier
-# round trips 1.5x (perfbench `transforms` op_tail_ms +30%); 2^18 for the
-# Cauchy sums too raised `symbolic_pairing`'s peak RSS by 20%.
+# f's points per projection block.  The points are real, so f runs in float64:
+# a block's coordinates take 4 MB in 2-D and each of f's temporaries 2 MB,
+# and the projection stays real up to the slice's Cauchy kernel or the ray's
+# exp_sum.  The Cauchy sums keep in_row_blocks' 2^15: 2^18 there too raised
+# `symbolic_pairing`'s peak RSS by 20%.
 _PROJECTION_BLOCK = 1 << 18
 
 
@@ -234,7 +241,7 @@ def radon_transform(f: MultiDimFunction, omega, abs_tol: float = 1e-9) -> RadonS
     """Slice hyperfunction of f in direction omega.  For a smooth f, G sums
     the memoized projection over degree-16 u-panels and refines each height
     from 16 u-panels on every call; past 2048 it raises ``ConvergenceError``."""
-    omega = _check_unit(omega)
+    omega = _check_unit(omega, f.dimension)
     if isinstance(f, DeltaCombo):
         return RadonSlice(omega=omega, hyper=_delta_combo_slice(f, omega),
                           label=f.label)
@@ -261,7 +268,7 @@ def radon_transform(f: MultiDimFunction, omega, abs_tol: float = 1e-9) -> RadonS
 def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
     """rho -> hat f(rho omega), the Fourier-slice ray: for a smooth f, exp
     sums over its own memoized degree-8 projection, from 16·2^k u-panels."""
-    omega = _check_unit(omega)
+    omega = _check_unit(omega, f.dimension)
     if isinstance(f, DeltaCombo):
         def hat(rho, order=0):
             if order != 0:
@@ -367,7 +374,7 @@ def helgason_moment(f: MultiDimFunction, k: int) -> HomogeneousPoly:
 def slice_moment(f: MultiDimFunction, omega, k: int):
     """k-th t-moment of the slice, via the plane-integral identity
     mu^k(Rf(omega, .)) = integral of (omega.x)^k f(x) dx."""
-    omega = _check_unit(omega)
+    omega = _check_unit(omega, f.dimension)
     if isinstance(f, DeltaCombo):
         return _slice_moment_delta(f, omega, k)
 
@@ -452,7 +459,7 @@ _FD_STENCILS = {
 
 def defining_function_value(f: MultiDimFunction, omega, tau: complex) -> complex:
     """G(omega, tau) off the real axis."""
-    omega = _check_unit(omega)
+    omega = _check_unit(omega, f.dimension)
     if isinstance(f, DeltaCombo):
         total = 0j
         for adot, m, c in _projected_terms(f, omega):
@@ -478,7 +485,7 @@ def gevrey_probe(f: MultiDimFunction, omega0, tau0: complex,
     differences of step 0.2 on the sphere, fitted against C (m!)^2 / v^m."""
     if max_order > GEVREY_ORDER_CAP:
         raise ValueError(f"max_order {max_order} above the cap {GEVREY_ORDER_CAP}")
-    omega0 = np.asarray(_check_unit(omega0))
+    omega0 = np.asarray(_check_unit(omega0, f.dimension))
     n = len(omega0)
     # unit tangent: rotate the axis least aligned with omega0 into the
     # orthogonal complement

@@ -179,6 +179,7 @@ def test_every_subcommand_runs_its_defaults_and_reads_every_option(
     ("support-check", {"q_max": 2}, "certified truncation tails dominate"),
     ("gevrey", {"omega": [1, 1]}, "omega: expected a comma-separated unit vector"),
     ("radon", {"directions": 0}, "directions: expected a positive integer, got 0"),
+    ("gevrey", {"omega": [0, 0, 1]}, "omega: expected 2 components for point_a, got 3"),
 ])
 def test_unknown_keys_and_malformed_values_exit_2(tmp_path, capsys, command,
                                                   config, message):

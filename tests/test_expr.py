@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import hypercalc.corpus as cp
 import hypercalc.expr as ex
 
 
@@ -268,3 +269,60 @@ def test_concurrent_construction_yields_one_node():
         sys.setswitchinterval(interval)
     for k in range(1, workers):
         assert all(x is y for x, y in zip(built[k], built[0]))
+
+
+# ---------------------------------------------------------------------------
+# the float64 plan
+
+
+def _corpus_cases():
+    """(label, expression, env of float64 points) for every expression of the
+    built-in corpora; the points avoid the poles at 0 and 0.5."""
+    x = np.linspace(-4.0, 4.0, 81) + 0.0371
+    cases = []
+    for label, f in cp.default_corpus().items():
+        for side, e in (("plus", f.f_plus), ("minus", f.f_minus)):
+            cases.append((f"{label}.{side}", e, {"z": x}))
+    for t in cp.test_suite():
+        cases.append((t.label, t.expr, {"z": x}))
+    pts = np.random.default_rng(7).uniform(-3.0, 3.0, (200, 3))
+    for label, f in cp.multidim_corpus().items():
+        if hasattr(f, "expr"):
+            cases.append((label, f.expr, {f"x{i + 1}": pts[:, i].copy()
+                                          for i in range(f.dimension)}))
+    return cases
+
+
+def test_float64_plan_agrees_with_complex_on_the_corpora():
+    tiny, ulp = np.finfo(float).tiny, np.finfo(float).eps
+    for label, e, env in _corpus_cases():
+        real = ex.evaluate(e, env)
+        cplx = ex.evaluate(e, {k: v.astype(complex) for k, v in env.items()})
+        gap = np.abs(real - cplx) / np.maximum(np.abs(cplx), tiny)
+        assert np.max(gap) <= 4 * ulp, label
+
+
+def test_float64_env_gives_float64_results():
+    e = ex.parse_expr("(1+x1)*exp(-(x1*x1+x2*x2))*sech(x2)+tanh(x1)/(2+x2^2)")
+    x = np.linspace(-2.0, 2.0, 9)
+    assert ex.evaluate(e, {"x1": x, "x2": x[::-1]}).dtype == np.float64
+    # a complex constant, a complex array or a Python float keeps complex values
+    assert ex.evaluate(ex.parse_expr("i*x1"), {"x1": x}).dtype == np.complex128
+    assert ex.evaluate(e, {"x1": x, "x2": x.astype(complex)}).dtype == np.complex128
+    assert isinstance(ex.evaluate(e, {"x1": 0.5, "x2": 0.25}), complex)
+    sech = ex.parse_expr("sech(z)")
+    assert isinstance(ex.evaluate(sech, {"z": 0.0}), np.complex128)
+    assert ex.evaluate(sech, {"z": x.astype(complex)}).dtype == np.complex128
+
+
+def test_real_sech_matches_mpmath():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 1601),
+                        [0.0, -0.0, 1e-9, -1e-9, -745.1, 708.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ex._sech(x)
+    assert got.dtype == np.float64
+    with mp.workdps(30):
+        want = np.array([float(mp.sech(mp.mpf(v))) for v in x])
+    rel = np.abs(got - want) / np.maximum(np.abs(want), np.finfo(float).tiny)
+    assert np.max(rel) <= 2e-15

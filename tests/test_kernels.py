@@ -1,4 +1,7 @@
 import math
+import resource
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -55,6 +58,47 @@ def test_exp_sum_several_amplitude_rows_and_shaped_t():
     for row in range(2):
         want = _dense(rule, t, amps[row], -1j)
         assert np.max(np.abs(got[row] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_exp_sum_reuses_its_workspace():
+    rng = np.random.default_rng(5)
+    rule = CompositeRule(-20.0, 20.0, 1288, 8)
+    amps = rng.standard_normal((2, rule.points.size)) * rule.weights
+    t = np.linspace(-8.0, 8.0, 512)
+    got = rule.exp_sum(t, amps, -1j)
+    # a larger call grows the workspace; values do not depend on what an
+    # earlier call left in it, and its 4 MB blocks map no fresh pages
+    rule.exp_sum(np.linspace(-8.0, 8.0, 2048), amps, -1j)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    again = rule.exp_sum(t, amps, -1j)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
+    assert np.array_equal(got, again)
+
+
+def test_exp_sum_workspace_is_per_thread():
+    rng = np.random.default_rng(6)
+    rule = CompositeRule(-20.0, 20.0, 300, 8)
+    amps = rng.standard_normal(rule.points.size) * rule.weights
+    ts = [np.linspace(-8.0, 8.0, n) for n in (97, 700, 1500, 3000, 450, 2200)]
+    want = [rule.exp_sum(t, amps, -1j) for t in ts]
+    same = [True] * len(ts)
+
+    def work(i):
+        for _ in range(20):
+            same[i] &= np.array_equal(rule.exp_sum(ts[i], amps, -1j), want[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(ts))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(same)
 
 
 def test_composite_rule_grid():

@@ -233,3 +233,29 @@ def test_projected_delta_terms_agree_across_routes():
     moment = hy.pair(slice_h, hy.TestFunction(ex.Pow(ex.Var("z"), k),
                                                strip_halfwidth=math.inf))
     assert abs(moment - rd.slice_moment(f, omega, k)) <= 1e-9
+
+
+def test_smooth_rapid_keeps_real_points_real():
+    f = MD["skew_gauss2"]
+    pts = np.array([[0.25, -0.5], [1.0, 2.0], [-1.5, 0.0]])
+    real = f(pts)
+    assert real.dtype == np.float64
+    cplx = f(pts.astype(complex))
+    assert cplx.dtype == np.complex128
+    assert np.max(np.abs(real - cplx)) <= 4 * np.finfo(float).eps * np.max(np.abs(real))
+    # the projection's weighted values stay real up to the Cauchy kernel
+    rule, pv = rd._weighted_projection(f, (0.6, 0.8), 16, 1e-9)(16)
+    assert pv.dtype == np.float64 and pv.shape == rule.points.shape
+
+
+@pytest.mark.parametrize("label", ["gauss2", "point_a"])
+def test_direction_of_another_dimension_is_rejected(label):
+    f, omega = MD[label], (0.0, 0.0, 1.0)
+    for call in (lambda: rd.radon_transform(f, omega),
+                 lambda: rd.multidim_fourier_ray(f, omega),
+                 lambda: rd.slice_moment(f, omega, 1),
+                 lambda: rd.defining_function_value(f, omega, 2j),
+                 lambda: rd.gevrey_probe(f, omega, 2j)):
+        with pytest.raises(ValueError, match="direction has 3 components, the "
+                                             "input has dimension 2"):
+            call()
