@@ -760,9 +760,3 @@ def scale_argument(e: Expr, factor: complex) -> Expr:
     """Return the tree for ``e`` with its argument scaled: z -> factor*z."""
     return simplify(substitute(e, "z", Mul(Const(complex(factor)), Var("z"))))
 
-
-def finite_difference(e: Expr, z):
-    """Central second-order difference in z with step 1e-5; cross-check for
-    `differentiate`."""
-    h = 1e-5
-    return (evaluate(e, {"z": z + h}) - evaluate(e, {"z": z - h})) / (2 * h)

@@ -35,8 +35,8 @@ from . import hyper as hy
 from .growth import GrowthClass
 from .hyper import (AdmissibilityError, ContourSpec, Hyperfunction1D,
                     TestFunction, LocalOperator, TWO_PI_I)
-from .quad import (CompositeRule, adaptive_interval, by_height, refine,
-                   auto_radius as quad_auto_radius)
+from .quad import (CompositeRule, ConvergenceError, adaptive_interval, by_height,
+                   refine, auto_radius as quad_auto_radius)
 
 __all__ = [
     "SmoothField", "AsymptoticSum", "fourier_transform",
@@ -170,20 +170,25 @@ class AsymptoticSum:
 
 
 def _laurent_coefficients(f: Hyperfunction1D):
-    """Coefficients a_m of (z - x0)^(-m), m = 1..64, of the defining function,
-    on a circle of radius 0.4; trailing ones below 1e-15 are dropped."""
+    """Coefficients a_m of (z - x0)^(-m), m = 1..64, of the defining function:
+    the means of w^m F(x0 + w) over n nodes w on the circle |w| = 0.4, n
+    doubling from 128 through ``refine`` until two passes agree within each
+    a_m's rounding floor, 64 eps mean|w^m F(x0 + w)| at 128 nodes.  An a_m at
+    or below its floor is zero; trailing zeros are dropped."""
     x0 = f.point_support
-    n, m_max, tol = 1024, 64, 1e-15
-    theta = 2.0 * math.pi * np.arange(n) / n
-    w = 0.4 * np.exp(1j * theta)
-    fv = f.f_plus(x0 + w)
-    ms = np.arange(1, m_max + 1)
-    # a_m = (1/2 pi i) contour integral F (z-x0)^(m-1) dz, trapezoid rule
-    a = (w[None, :] ** ms[:, None] * fv[None, :]).mean(axis=1)
-    keep = m_max
-    while keep > 1 and abs(a[keep - 1]) < tol and abs(a[keep - 2]) < tol:
-        keep -= 1
-    return x0, a[:keep]
+    floor = None
+
+    def in_floors(n):
+        nonlocal floor
+        w = 0.4 * np.exp(2j * math.pi * np.arange(n) / n)
+        terms = w[None, :] ** np.arange(1, 65)[:, None] * f.f_plus(x0 + w)[None, :]
+        if floor is None:
+            floor = np.maximum(64 * hy._EPS * np.abs(terms).mean(axis=1), 1e-300)
+        return terms.mean(axis=1) / floor
+
+    what = f"Laurent coefficients at {x0:g}, in units of their rounding floors,"
+    scaled = refine(in_floors, 128, 1 << 13, 1.0, what, "nodes")[0]
+    return x0, np.trim_zeros(np.where(np.abs(scaled) > 1.0, scaled * floor, 0.0), "b")
 
 
 def _delta_like_hat(f: Hyperfunction1D):
@@ -204,8 +209,7 @@ def _delta_like_hat(f: Hyperfunction1D):
         w = -1j * xi
         total = np.zeros(np.shape(xi), dtype=complex)
         for j in range(min(q, M - 1) + 1):
-            poly = ((-1j) ** q * math.factorial(q) / math.factorial(q - j)
-                    * x0 ** (q - j)) if (x0 != 0 or q == j) else 0.0
+            poly = (-1j) ** q * math.factorial(q) / math.factorial(q - j) * x0 ** (q - j)
             if poly == 0:
                 continue
             total = total + poly / math.factorial(j) * np.polynomial.polynomial.polyval(
@@ -628,7 +632,10 @@ def structural_representation(f: Hyperfunction1D,
     decaying part of that quotient is handled by an analytic 1/xi^2 tail
     correction so the oscillatory grid integral stays short.  The cutoff
     xi_max doubles from 16 until the quotient or its tail model is within
-    1e-6; f0 is sampled at 141 points on [-14, 14].
+    1e-6, and ``ConvergenceError`` is raised once it passes 1e5.  f0 is
+    sampled at 141 points on [-14, 14]; its degree-10 panels double through
+    ``refine`` from half of max(64, 2 14 xi_max / pi) until two passes agree
+    within 1e-6.
     """
     if not f.is_asymptotic:
         raise AdmissibilityError(
@@ -650,37 +657,44 @@ def structural_representation(f: Hyperfunction1D,
 
     xi_max = 16.0
     while xi_max < 1e5:
-        vp = complex(np.asarray(fhat0(xi_max)))
-        vm = complex(np.asarray(fhat0(-xi_max)))
+        vp, vm = (complex(np.asarray(fhat0(s * xi_max))) for s in (1.0, -1.0))
         if abs(vp) * xi_max <= abs_tol and abs(vm) * xi_max <= abs_tol:
             break
         # otherwise stop once the c/xi^2 tail model has stabilized, since
         # the remaining tail is handled analytically below
-        vp2 = complex(np.asarray(fhat0(2.0 * xi_max)))
-        vm2 = complex(np.asarray(fhat0(-2.0 * xi_max)))
+        vp2, vm2 = (complex(np.asarray(fhat0(s * xi_max))) for s in (2.0, -2.0))
         drift = (abs(vp * xi_max ** 2 - vp2 * 4.0 * xi_max ** 2)
                  + abs(vm * xi_max ** 2 - vm2 * 4.0 * xi_max ** 2))
         if drift / xi_max <= abs_tol:
             break
         xi_max *= 2.0
+    else:
+        raise ConvergenceError(
+            f"structural cutoff for {f.label or 'f'}: hat f / (J (1 + xi^2)) and its "
+            f"c/xi^2 tail model did not settle to abs_tol={abs_tol:g} below xi_max = 1e5")
 
-    panels = max(64, int(2 * x_max * xi_max / math.pi))
-    rule = CompositeRule(-xi_max, xi_max, panels, 10)
-    wg = rule.weights * np.asarray(fhat0(rule.points))
-
-    c_plus = complex(np.asarray(fhat0(xi_max))) * xi_max ** 2
-    c_minus = complex(np.asarray(fhat0(-xi_max))) * xi_max ** 2
-
-    def f0(x):
-        xr = np.atleast_1d(np.real(np.asarray(x))).astype(float)
-        tail = _tail_kernel(xr, xi_max)  # I(-x) is its conjugate
-        vals = rule.exp_sum(xr, wg, 1j) + (c_plus * tail + c_minus * tail.conj())
-        vals = vals / (2.0 * math.pi)
-        return vals if np.ndim(x) else complex(vals[0])
-
+    c_plus, c_minus = vp * xi_max ** 2, vm * xi_max ** 2
     grid = np.linspace(-x_max, x_max, grid_n)
-    f0_vals = np.asarray(f0(grid))
+    panels = max(64, int(2 * x_max * xi_max / math.pi))  # at level 2; level 1 has half
+    f0_at = {}
+
+    def on_grid(level):
+        rule = CompositeRule(-xi_max, xi_max, level * panels // 2, 10)
+        wg = rule.weights * np.asarray(fhat0(rule.points))
+
+        def f0(x):
+            xr = np.atleast_1d(np.real(np.asarray(x))).astype(float)
+            tail = _tail_kernel(xr, xi_max)  # I(-x) is its conjugate
+            vals = rule.exp_sum(xr, wg, 1j) + (c_plus * tail + c_minus * tail.conj())
+            vals = vals / (2.0 * math.pi)
+            return vals if np.ndim(x) else complex(vals[0])
+
+        f0_at[level] = f0
+        return f0(grid)
+
+    f0_vals, _, level = refine(on_grid, 1, 8, abs_tol, "structural f0 grid",
+                               f"halves of its {panels} panels")
 
     weight = LocalOperator((1.0, 0.0, -1.0), label="1-D^2")
     return StructuralRep(operator=J, weight=weight, x_grid=grid,
-                         f0_values=f0_vals, f0=f0, xi_max=xi_max)
+                         f0_values=f0_vals, f0=f0_at[level], xi_max=xi_max)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,16 @@ def test_convergence_error_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "1024 panels" in err
+
+
+def test_structural_cutoff_past_its_cap_exits_1(tmp_path, capsys):
+    start = time.perf_counter()
+    code, _ = run(["structural", "--label", "delta2"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: structural cutoff for delta^(2)")
+    assert "below xi_max = 1e5" in err
+    assert time.perf_counter() - start < 5.0
 
 
 def test_config_file_merges_under_flags(tmp_path):

@@ -87,7 +87,8 @@ def test_derivative_matches_finite_difference():
         z = complex(RNG.uniform(-1, 1), RNG.uniform(0.2, 1.0))
         try:
             sym = ex.evaluate(d, {"z": z})
-            num = ex.finite_difference(e, z)
+            h = 1e-5  # central second-order difference
+            num = (ex.evaluate(e, {"z": z + h}) - ex.evaluate(e, {"z": z - h})) / (2 * h)
         except ex.PoleError:
             continue
         assert abs(sym - num) <= 1e-5 * (1 + abs(sym))

@@ -4,6 +4,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -107,9 +108,69 @@ def test_gevrey_probe_envelope():
     assert not fit.negligible
 
 
-def test_gevrey_probe_negligible_radial():
+def test_gevrey_probe_negligible_radial(monkeypatch):
+    calls = []
+    value = rd.defining_function_value
+    monkeypatch.setattr(rd, "defining_function_value",
+                        lambda *args: calls.append(args) or value(*args))
     fit = rd.gevrey_probe(MD["gauss2"], np.array([1.0, 0.0]), 0.5j)
     assert fit.negligible
+    # the passes at 8 and 16 agree, and each direction is evaluated once
+    assert len(calls) <= 16 and len(set(map(repr, calls))) == len(calls)
+
+
+def _theta_derivatives(G, orders=range(5)):
+    """|d^m/dtheta^m G(cos theta omega0 + sin theta t)| at theta = 0 for
+    omega0 = (3/5, 4/5), t = (4/5, -3/5), by mpmath at 40 digits."""
+    with mp.workdps(40):
+        def g(theta):
+            return G((mp.cos(theta) * 3 / 5 + mp.sin(theta) * 4 / 5,
+                      mp.cos(theta) * 4 / 5 - mp.sin(theta) * 3 / 5))
+        return [float(abs(mp.diff(g, 0, m))) for m in orders]
+
+
+def _cauchy_sum(f, tau):
+    """G(omega, tau) of a point-source combination: the Cauchy kernel summed
+    over its projected terms b omega^alpha delta^(|alpha|)(t - a.omega)."""
+    def G(omega):
+        total = 0
+        for src in f.sources:
+            adot = sum(mp.mpf(p.numerator) / p.denominator * o
+                       for p, o in zip(src.point, omega))
+            for alpha, b in src.coefficients.items():
+                c, m = mp.mpf(b) * src.weight, sum(alpha)
+                for a, o in zip(alpha, omega):
+                    c *= o ** a
+                total += (c * (-1) ** m * mp.factorial(m)
+                          / (-2j * mp.pi * (tau - adot) ** (m + 1)))
+        return total
+    return G
+
+
+def _skew_gauss2(tau):
+    """G for (1 + x1) e^(-|x|^2): (-1/2 pi i) sqrt(pi) [(1 + omega1 tau)
+    (-i pi w(tau)) - omega1 sqrt(pi)], w(tau) = e^(-tau^2) erfc(-i tau)."""
+    def G(omega):
+        w = mp.exp(-tau ** 2) * mp.erfc(-1j * tau)
+        return (mp.sqrt(mp.pi) * ((1 + omega[0] * tau) * (-1j * mp.pi * w)
+                                  - omega[0] * mp.sqrt(mp.pi)) / (-2j * mp.pi))
+    return G
+
+
+@pytest.mark.parametrize("label", ["point_a", "point_J", "skew_gauss2"])
+def test_gevrey_derivatives_match_closed_forms(label, monkeypatch):
+    f = MD[label]
+    want = _theta_derivatives(_skew_gauss2(mp.mpc(0, 2)) if label == "skew_gauss2"
+                              else _cauchy_sum(f, mp.mpc(0, 2)))
+    calls = []
+    value = rd.defining_function_value
+    monkeypatch.setattr(rd, "defining_function_value",
+                        lambda *args: calls.append(args) or value(*args))
+    fit = rd.gevrey_probe(f, (0.6, 0.8), 2.0j)
+    for m, (got, ref) in enumerate(zip(fit.derivative_magnitudes, want)):
+        assert abs(got - ref) <= 1e-8 * ref, (m, got, ref)
+    if label == "skew_gauss2":  # affine in omega1: the first comparison agrees
+        assert len(calls) <= 16
 
 
 def test_gevrey_probe_order_cap():

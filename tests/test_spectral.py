@@ -1,14 +1,17 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import hypercalc.corpus as cp
 import hypercalc.expr as ex
 import hypercalc.hyper as hy
 import hypercalc.spectral as sp
 from hypercalc.growth import GrowthClass
+from hypercalc.quad import ConvergenceError
 
 CORPUS = cp.default_corpus()
 SUITE = cp.test_suite()
@@ -21,6 +24,43 @@ def test_fourier_of_delta_family():
     fhat = sp.fourier_transform(hy.delta_derivative(2))
     got = complex(np.asarray(fhat(2.0)))
     assert abs(got - (1j * 2.0) ** 2) < 1e-10
+
+
+@pytest.mark.parametrize("a", [0.0, 0.25])
+def test_delta_derivative_transforms_are_exact_to_order_20(a):
+    # the closed-form route reads the Laurent coefficients; rounding noise in
+    # the coefficients below the pole's order would swamp (i xi)^n at small xi
+    for n in range(21):
+        fhat = sp.fourier_transform(hy.delta_derivative(n, a))
+        for xi in (0.5, 1.0, 4.0):
+            want = (1j * xi) ** n * np.exp(-1j * a * xi)
+            assert abs(complex(fhat(xi)) - want) <= 1e-12 * abs(want), (n, xi)
+
+
+@given(st.integers(0, 20), st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+       st.floats(-0.5, 0.5), st.floats(0.5, 8.0))
+def test_delta_combination_transform_property(n, c, a, xi):
+    # one order per draw: in a combination, a low order's coefficient can sit
+    # below the rounding floor that the highest order sets on the circle
+    got = complex(sp.fourier_transform(hy.delta_combination({n: c}, a))(xi))
+    want = c * (1j * xi) ** n * np.exp(-1j * a * xi)
+    assert abs(got - want) <= 1e-12 * abs(c) * xi ** n
+
+
+def test_laurent_coefficients_raise_with_a_pole_on_their_circle():
+    # a second pole on |z| = 0.4 between the trapezoid nodes: the passes never agree
+    p = complex(0.4 * np.exp(1j * math.pi / 3))
+    F = ex.parse_expr(f"1/z + 1/(z - {p.real!r} - {p.imag!r}*i)")
+    f = hy.Hyperfunction1D(f_plus=F, f_minus=F, strip=math.inf,
+                           growth=GrowthClass.tempered(-1.0), point_support=0.0)
+    with pytest.raises(ConvergenceError, match="Laurent coefficients at 0"):
+        sp._laurent_coefficients(f)
+    # the same pole at radius 0.41 leaves 1/z alone, with no aliasing residue
+    F = ex.parse_expr("1/z + 1/(z - 0.41)")
+    f = hy.Hyperfunction1D(f_plus=F, f_minus=F, strip=math.inf,
+                           growth=GrowthClass.tempered(-1.0), point_support=0.0)
+    x0, a = sp._laurent_coefficients(f)
+    assert x0 == 0.0 and len(a) == 1 and abs(a[0] - 1.0) <= 1e-14
 
 
 def test_tenth_transform_derivative_is_the_tenth_moment():
@@ -208,6 +248,17 @@ def test_structural_representation_of_gaussian():
     direct = hy.pair(f, phi)
     recon = rep.reconstruct_pairing(phi)
     assert abs(direct - recon) < 1e-5 * (1 + abs(direct))
+
+
+@pytest.mark.parametrize("label", ["delta1", "delta2", "delta_shift", "ode_f1"])
+def test_structural_cutoff_past_its_cap_raises(label):
+    # the c/xi^2 tail model never settles: delta^(n)'s quotient (i xi)^n /
+    # (1 + xi^2) decays slower than 1/xi^2 for n >= 1, ode_f1's transform
+    # grows, and delta_shift's quotient carries the phase e^(-i xi / 2)
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="below xi_max = 1e5"):
+        sp.structural_representation(CORPUS[label])
+    assert time.perf_counter() - start < 5.0
 
 
 def test_tail_kernel_against_mpmath_sine_and_cosine_integrals():
