@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .growth import GrowthClass, GrowthError
-from .quad import (CompositeRule, ContourSpec, ConvergenceError, adaptive_interval,
+from .quad import (ContourSpec, ConvergenceError, adaptive_interval,
                    auto_radius, by_height, in_row_blocks, refine, tail_bound,
                    verify_growth)
 
@@ -245,7 +245,7 @@ def delta_derivative(n: int = 0, at: float = 0.0) -> Hyperfunction1D:
         f"delta^({n})" + (f"@{at:g}" if at else ""))
 
 
-_WINDOW = 9.0  # standardize integrates over |Re(z - w)| <= 9, where e^(-81) < 1e-35
+_WINDOW = 9.0  # standardize's lines take |u| <= 9, s <= asinh(9/c): e^(-81) < 1e-35
 # entries per row block of standardize's sums: their complex temporaries
 # (64 KB) stay below glibc's 128 KB default mmap threshold, so they come from
 # the heap and are not mapped and faulted in afresh for every block
@@ -387,57 +387,76 @@ def standardize(f: Hyperfunction1D) -> Hyperfunction1D:
     built with ``quad.by_height``: it refines each height y = Im z on its own
     and keeps no state between calls.  Each point's row is reduced by its
     own sum, so its rounding does not depend on how many points share the call.
+    Both routes are trapezoid rules whose node count n doubles through
+    ``refine`` until two passes agree within 1e-9.  A pass adds its new, odd
+    nodes to the previous pass's per-point sum, so a point costs at most
+    n + 1 evaluations of f.
 
     Off the delta-like case, G integrates over the lines w = Re z + u +- i eta
     with u in [-9, 9] (past that window the kernel is below e^(-81)) and
     eta = min(|y|, strip) / 2.  On these translated lines z - w = i(y -+ eta) - u,
-    so one kernel row per height, branch and level serves every point at that
-    height, and f is evaluated on the shifted nodes.  The rule is degree-16
-    Gauss-Legendre panels, doubling from 16 panels until two passes agree
-    within 1e-9; past 1024 panels it raises ``ConvergenceError``.
+    so one kernel row per height, branch and pass serves every point at that
+    height, and f is evaluated on the shifted nodes.  The map u = c sinh(s),
+    c = |y| - eta, puts both kernel poles (c and |y| + eta from the lines) on
+    Im s = +-pi/2 (Johnston & Elliott, IJNME 62, 2005), so the rule in s on
+    [-asinh(9/c), asinh(9/c)] converges at a rate independent of y and n grows
+    like log(1/|y|).  n doubles from 16 (the ends, below e^(-81), are left
+    out); past 16384 nodes it raises ``ConvergenceError``.
 
     In the delta-like case G is the trapezoid rule on the circle of radius
-    r = min(1, |y|) / 2 around the support point, doubling from 32 nodes to
-    the same agreement; past 512 nodes it raises.  The kernel's pole w = z
-    lies at least 2r from the centre, so the rule converges geometrically at
-    ratio 1/2 per node and stops at 64-128 nodes.
+    r = min(1, |y|) / 2 around the support point, doubling from 32 nodes;
+    past 512 nodes it raises.  The kernel's pole w = z lies at least 2r from
+    the centre, so the rule converges geometrically at ratio 1/2 per node
+    and stops at 64-128 nodes.
     """
     if not (f.is_delta_like or f.is_asymptotic or f.growth.kind == "tempered"):
         raise AdmissibilityError("standardize needs an asymptotic or tempered input")
 
-    abs_tol = 1e-9
     strip = 0.5 * min(f.strip, 1.0)
+
+    def nested(y, start, cap, first, pass_sum):
+        """``refine`` of sum(``pass_sum(k / n)``) / n over the k new at each level."""
+        total = 0.0
+
+        def evaluate(n):
+            nonlocal total
+            k = np.arange(first, n) if n == start else np.arange(1, n, 2)
+            total = total + pass_sum(k / n)
+            return total / n
+
+        return refine(evaluate, start, cap, 1e-9, f"standardized G at Im z = {y:g}",
+                      "nodes")[0]
 
     def on_circle(zs, y):
         x0 = f.point_support
         radius = 0.5 * min(1.0, abs(y))
 
-        def evaluate(n):
-            theta = 2.0 * math.pi * np.arange(n) / n
-            w = x0 + radius * np.exp(1j * theta)
-            fw = f.f_plus(w) * (w - x0)
-            return -(2j * math.pi / n) * in_row_blocks(
-                lambda block: (_std_kernel(block[:, None] - w) * fw).sum(axis=-1), zs, n,
-                _STD_BLOCK)
+        def pass_sum(t):
+            w = x0 + radius * np.exp(2j * math.pi * t)
+            fw = (-2j * math.pi) * f.f_plus(w) * (w - x0)
+            return in_row_blocks(
+                lambda block: (_std_kernel(block[:, None] - w) * fw).sum(axis=-1), zs,
+                len(w), _STD_BLOCK)
 
-        return refine(evaluate, 32, 512, abs_tol, f"standardized G at Im z = {y:g}",
-                      "nodes")[0]
+        return nested(y, 32, 512, 0, pass_sum)
 
     def on_lines(zs, y):
         eta = 0.5 * min(abs(y), f.strip)
+        c = abs(y) - eta
+        span = 2.0 * math.asinh(_WINDOW / c)
 
-        def evaluate(panels):
-            rule = CompositeRule(-_WINDOW, _WINDOW, panels, 16)
-            u = rule.points
-            kp = _std_kernel(1j * (y - eta) - u) * rule.weights
-            km = _std_kernel(1j * (y + eta) - u) * rule.weights
+        def pass_sum(t):
+            s = span * (t - 0.5)
+            u, du = c * np.sinh(s), span * c * np.cosh(s)
+            kp = _std_kernel(1j * (y - eta) - u) * du
+            km = _std_kernel(1j * (y + eta) - u) * du
             # a constant branch evaluates to a scalar and is summed once
             return in_row_blocks(lambda x: (
                 (f.f_plus(x[:, None] + u + 1j * eta) * kp).sum(axis=-1)
                 - (f.f_minus(x[:, None] + u - 1j * eta) * km).sum(axis=-1)),
                 zs.real, len(u), _STD_BLOCK)
 
-        return refine(evaluate, 16, 1024, abs_tol, f"standardized G at Im z = {y:g}")[0]
+        return nested(y, 16, 16384, 1, pass_sum)
 
     G = by_height(on_circle if f.is_delta_like else on_lines)
     return Hyperfunction1D(f_plus=G, f_minus=G, strip=strip,

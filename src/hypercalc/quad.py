@@ -14,9 +14,9 @@ m_p + h x_k into its panel midpoint and offset, and the equally spaced
 midpoints into a coarse and a fine step, so they take about 2 sqrt(panels)
 complex exps per point and three matrix products instead of one exp per
 (point, node).  ``refine`` is the one refinement driver: every fixed rule
-of the package (composite panels, box rules, trapezoid rules on circles and
-over periodic samples) doubles its resolution through it until two passes
-agree, or raises ``ConvergenceError`` at its cap.
+of the package (composite panels, box rules, trapezoid rules on circles,
+over periodic samples and, sinh-mapped, on lines) doubles its resolution
+through it until two passes agree, or raises ``ConvergenceError`` at its cap.
 ``by_height`` builds every computed defining function from one evaluation
 per height Im z, and ``in_row_blocks`` bounds the memory of its (points x
 nodes) sums and of the Radon projection.

@@ -474,21 +474,23 @@ def gevrey_probe(f: MultiDimFunction, omega0, tau0: complex,
     C (m!)^2 / v^m.  theta -> G(cos theta omega0 + sin theta t, tau0) is
     periodic and analytic: the derivatives at theta = 0 come from the FFT of
     n equally spaced samples, n doubling from 8 through ``refine`` until two
-    passes agree within 1e-9, up to 256 (Trefethen & Weideman, SIAM Review
-    56, 2014).  A pass reuses the previous pass's samples as its even ones."""
+    passes agree within 1e-9 of the first pass's largest |derivative|, up to
+    256 (Trefethen & Weideman, SIAM Review 56, 2014).  A pass reuses the
+    previous pass's samples as its even ones."""
     if max_order > GEVREY_ORDER_CAP:
         raise ValueError(f"max_order {max_order} above the cap {GEVREY_ORDER_CAP}")
     omega0 = np.asarray(_check_unit(omega0, f.dimension))
     # unit tangent: the axis least aligned with omega0, projected off omega0
     tangent = np.asarray(_orthonormal_frame(omega0)[1])
     samples = np.empty(0, dtype=complex)
+    d = scale = None
 
     def g(theta):
         w = math.cos(theta) * omega0 + math.sin(theta) * tangent
         return defining_function_value(f, tuple(w), tau0)
 
-    def derivatives(count):
-        nonlocal samples
+    def in_scale(count):
+        nonlocal samples, d, scale
         theta = 2.0 * math.pi * np.arange(count) / count
         new = np.empty(count, dtype=complex)
         new[::2] = samples if samples.size else [g(t) for t in theta[::2]]
@@ -497,9 +499,12 @@ def gevrey_probe(f: MultiDimFunction, omega0, tau0: complex,
         k = np.fft.fftfreq(count, 1.0 / count)
         factor = (1j * k) ** np.arange(max_order + 1)[:, None]
         factor[1::2, count // 2] = 0.0  # cos(count theta / 2): odd derivatives 0 at 0
-        return factor @ (np.fft.fft(samples) / count)
+        d = factor @ (np.fft.fft(samples) / count)
+        scale = scale or max(float(np.max(np.abs(d))), 1e-300)
+        return d / scale
 
-    d, _, _ = refine(derivatives, 8, 256, 1e-9, "Gevrey probe derivatives", "directions")
+    what = "Gevrey probe derivatives, in units of the first pass's largest,"
+    refine(in_scale, 8, 256, 1e-9, what, "directions")
     mags = np.abs(d).tolist()
     g0 = max(abs(samples[0]), 1e-30)
     if all(v <= 1e-8 * g0 for v in mags[1:]):

@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 import hypercalc.cli as cli
@@ -112,13 +113,14 @@ def test_failed_check_exits_1(tmp_path):
     assert "diverges" in rec["diagnosis"]
 
 
-def test_convergence_error_exits_1(tmp_path, capsys):
-    # standardize's G needs more than its 1024-panel cap this near the axis
-    code, _ = run(["pair", "--label", "sech", "--standardize", "--eta", "0.01"],
-                  tmp_path)
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "1024 panels" in err
+def test_pair_standardized_near_real_axis_exits_0(tmp_path):
+    code, out = run(["pair", "--label", "sech", "--standardize", "--eta", "0.01",
+                     "--test", "gauss"], tmp_path)
+    assert code == 0
+    rows = _csv_rows(out / "pair.csv")
+    with mp.workdps(30):
+        want = mp.quad(lambda x: mp.sech(x) * mp.exp(-x * x), [-mp.inf, 0, mp.inf])
+    assert abs(float(rows[1][1]) - float(want)) <= 1e-10 * float(want)
 
 
 def test_structural_cutoff_past_its_cap_exits_1(tmp_path, capsys):

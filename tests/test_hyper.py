@@ -142,7 +142,7 @@ def test_standardize_line_route_matches_oracle(label):
 
 
 def test_standardize_converges_near_real_axis():
-    # the contour at Im z = +-0.03 needs 512 panels on the translated window
+    # at Im z = +-0.03 the sinh-mapped trapezoid rule stops at 128 nodes
     f = cp.default_corpus()["sech"]
     spec = ContourSpec(imag_offset=0.03, abs_tol=1e-10)
     got = hy.pair(hy.standardize(f), SUITE[0], spec)
@@ -190,12 +190,63 @@ def test_standardize_rejects_the_real_axis():
         G(np.array([0.5 + 0.25j, 1.0 + 0.0j]))
 
 
-def test_standardize_near_real_axis_raises_quickly():
-    G = hy.standardize(cp.default_corpus()["sech"]).f_plus
+@pytest.mark.parametrize("eta", [0.01, 1e-4, 1e-8])
+def test_standardize_matches_mpmath_near_real_axis(eta):
+    f = cp.default_corpus()["sech"]
     start = time.perf_counter()
-    with pytest.raises(ConvergenceError, match="Im z = 0.01 .*1024 panels"):
-        G(np.linspace(-20.0, 20.0, 21) + 0.01j)
+    got = hy.pair(hy.standardize(f), SUITE[0], ContourSpec(imag_offset=eta, abs_tol=1e-10))
+    assert time.perf_counter() - start < 1.0
+    want = _standardize_oracle("sech")
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def _narrow_gaussian(k, a):
+    """exp(-k (x - a)^2) as the boundary value of F_plus, F_minus = 0."""
+    return hy.Hyperfunction1D(f_plus=ex.parse_expr(f"exp(-{k}*(z-{a})^2)"),
+                              f_minus=ex._ZERO, strip=1.0,
+                              growth=GrowthClass.exp_decay(1.0, constant=20.0))
+
+
+@pytest.mark.parametrize("k", [50, 800])
+@pytest.mark.parametrize("a", [0.0, 2.5])
+def test_standardize_narrow_gaussian_matches_closed_form(k, a):
+    got = hy.pair(hy.standardize(_narrow_gaussian(k, a)), SUITE[0])
+    want = math.sqrt(math.pi / (k + 1)) * math.exp(-k * a * a / (k + 1))
+    assert abs(got - want) <= 1e-8 * want
+
+
+def test_standardize_past_its_cap_raises_quickly():
+    # on the line Im w = 0.125, |F_plus| reaches e^78
+    G = hy.standardize(_narrow_gaussian(5000, 1.7)).f_plus
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="Im z = 0.25 .*16384 nodes"):
+        G(np.linspace(-3.0, 3.0, 13) + 0.25j)
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("label", ["sech", "delta2"])
+def test_standardize_evaluates_f_once_per_node(label, monkeypatch):
+    f = cp.default_corpus()[label]
+    seen, levels = [], []
+    refine = hy.refine
+
+    def counted_refine(*args):
+        result = refine(*args)
+        levels.append(result[2])
+        return result
+
+    def counted_f(w):
+        seen.append(np.ravel(w))
+        return f.f_plus(w)
+
+    monkeypatch.setattr(hy, "refine", counted_refine)
+    z = np.array([0.5 + 0.25j, -2.0 + 0.25j])
+    hy.standardize(replace(f, f_plus=counted_f)).f_plus(z)
+    points = np.concatenate(seen)
+    assert len(np.unique(points)) == len(points)
+    # the circle's nodes serve every point; each line point has its own
+    per_call = 1 if f.is_delta_like else len(z)
+    assert levels and len(points) <= per_call * (levels[0] + 1)
 
 
 @pytest.mark.parametrize("n", [8, 12, 20, 30])

@@ -173,6 +173,26 @@ def test_gevrey_derivatives_match_closed_forms(label, monkeypatch):
         assert len(calls) <= 16
 
 
+def test_gevrey_probe_is_scale_free():
+    f = MD["point_J"]
+    heavy = replace(f, sources=tuple(replace(s, weight=100 * s.weight) for s in f.sources))
+    one = rd.gevrey_probe(f, (0.6, 0.8), 2.0j).derivative_magnitudes
+    hundred = rd.gevrey_probe(heavy, (0.6, 0.8), 2.0j).derivative_magnitudes
+    for m, (a, b) in enumerate(zip(one, hundred)):
+        assert abs(b - 100 * a) <= 1e-10 * 100 * a, m
+
+
+def test_gevrey_probe_near_the_real_axis():
+    want = _theta_derivatives(_cauchy_sum(MD["point_J"], mp.mpc(0, 0.5)))
+    fit = rd.gevrey_probe(MD["point_J"], (0.6, 0.8), 0.5j)
+    for m, (got, ref) in enumerate(zip(fit.derivative_magnitudes, want)):
+        assert abs(got - ref) <= 1e-8 * ref, (m, got, ref)
+    # point_a's order-4 passes at 128 and 256 directions differ by 2.7e-9
+    # of its largest derivative there: the rounding the derivative amplifies
+    with pytest.raises(ConvergenceError, match="256 directions"):
+        rd.gevrey_probe(MD["point_a"], (0.6, 0.8), 0.5j)
+
+
 def test_gevrey_probe_order_cap():
     with pytest.raises(ValueError):
         rd.gevrey_probe(MD["point_a"], np.array([0.6, 0.8]), 2.0j,
