@@ -43,7 +43,7 @@ def default_corpus() -> Dict[str, Hyperfunction1D]:
 
     out["gaussian"] = Hyperfunction1D(
         f_plus=ex.parse_expr("exp(-(z*z)/2)"), f_minus=ex._ZERO,
-        strip=math.inf, growth=GrowthClass.exp_decay(0.5, constant=4.0),
+        strip=math.inf, growth=GrowthClass.gaussian(0.5, constant=4.0),
         label="gaussian")
 
     out["lorentz"] = Hyperfunction1D(
@@ -63,20 +63,20 @@ def asymptotic_corpus() -> Dict[str, Hyperfunction1D]:
     moment-admissible)."""
     full = default_corpus()
     return {k: f for k, f in full.items()
-            if f.is_delta_like or f.growth.kind == "exp_decay"}
+            if f.is_delta_like or f.growth.kind in ("exp_decay", "gaussian")}
 
 
 def test_suite() -> List[TestFunction]:
-    """Analytic, rapidly decreasing test functions with known strips."""
+    """Analytic, Gaussian-damped test functions with known strips."""
     return [
         TestFunction(ex.parse_expr("exp(-(z*z))"), math.inf,
-                     GrowthClass.exp_decay(1.0, constant=3.0), "gauss"),
+                     GrowthClass.gaussian(1.0, constant=3.0), "gauss"),
         TestFunction(ex.parse_expr("(1+z)*exp(-(z*z)/2)"), math.inf,
-                     GrowthClass.exp_decay(0.5, constant=5.0), "affine_gauss"),
+                     GrowthClass.gaussian(0.25, constant=5.0), "affine_gauss"),
         TestFunction(ex.parse_expr("exp(-(z*z)/4)*(1+z*z/4)"), math.inf,
-                     GrowthClass.exp_decay(0.25, constant=8.0), "bump"),
+                     GrowthClass.gaussian(0.125, constant=8.0), "bump"),
         TestFunction(ex.parse_expr("sech(z)*exp(-(z*z)/8)"), 1.4,
-                     GrowthClass.exp_decay(1.0, constant=4.0), "sech_gauss"),
+                     GrowthClass.gaussian(0.125, constant=4.0), "sech_gauss"),
     ]
 
 

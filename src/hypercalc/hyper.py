@@ -275,14 +275,22 @@ def _combined_tail(f: Hyperfunction1D, phi_growth: GrowthClass):
         other = p if g.kind == "infra_exponential" else g
         if other.kind == "exp_decay":
             return GrowthClass.exp_decay(other.rate / 2.0, constant=c), 0.0
+        if other.kind == "gaussian":
+            # e^(r/10 - a r^2) <= e^(1/(200 a)) e^(-a r^2 / 2): the envelope's
+            # epsilon = 1/10 against half the Gaussian rate
+            a = other.rate
+            return GrowthClass.gaussian(a / 2.0, c * math.exp(1.0 / (200.0 * a))), 0.0
         raise AdmissibilityError(
             "infra-exponential factor needs an exponentially decaying partner")
+    gamma = sum(x.gamma for x in (g, p) if x.kind == "tempered")
+    if "gaussian" in kinds:
+        # an exp_decay or asymptotic partner is at most its constant; a
+        # tempered one becomes the weight (1 + |x|)^gamma
+        rate = sum(x.rate for x in (g, p) if x.kind == "gaussian")
+        return GrowthClass.gaussian(rate, constant=c), gamma
     if "exp_decay" in kinds:
-        rate = (g.rate if g.kind == "exp_decay" else 0.0) + \
-               (p.rate if p.kind == "exp_decay" else 0.0)
-        weight = max(0.0, (g.gamma if g.kind == "tempered" else 0.0) +
-                     (p.gamma if p.kind == "tempered" else 0.0))
-        return GrowthClass.exp_decay(rate, constant=c), weight
+        rate = sum(x.rate for x in (g, p) if x.kind == "exp_decay")
+        return GrowthClass.exp_decay(rate, constant=c), max(0.0, gamma)
     if "asymptotic" in kinds:
         return GrowthClass.asymptotic(constant=c), 0.0
     # tempered x tempered
@@ -370,6 +378,8 @@ def scale_pair(f: Hyperfunction1D, phi: TestFunction, lam: float,
     g = phi.growth
     if g.kind == "exp_decay":
         g = GrowthClass.exp_decay(g.rate / abs(lam), constant=g.constant)
+    if g.kind == "gaussian":
+        g = GrowthClass.gaussian(g.rate / lam ** 2, constant=g.constant)
     phi_scaled = TestFunction(scaled, strip_halfwidth=phi.strip_halfwidth * abs(lam),
                               growth=g, label=f"{phi.label}(x/{lam:g})")
     return pair(f, phi_scaled, spec) / lam
@@ -408,6 +418,10 @@ def standardize(f: Hyperfunction1D) -> Hyperfunction1D:
     past 512 nodes it raises.  The kernel's pole w = z lies at least 2r from
     the centre, so the rule converges geometrically at ratio 1/2 per node
     and stops at 64-128 nodes.
+
+    G keeps the declared class of f, except that a gaussian rate a becomes
+    a / (1 + a): the kernel's e^(-(x - u)^2) spreads e^(-a u^2) into
+    e^(-a x^2 / (1 + a)).
     """
     if not (f.is_delta_like or f.is_asymptotic or f.growth.kind == "tempered"):
         raise AdmissibilityError("standardize needs an asymptotic or tempered input")
@@ -458,9 +472,12 @@ def standardize(f: Hyperfunction1D) -> Hyperfunction1D:
 
         return nested(y, 16, 16384, 1, pass_sum)
 
+    growth = f.growth
+    if growth.kind == "gaussian":
+        growth = GrowthClass.gaussian(growth.rate / (1.0 + growth.rate), growth.constant)
     G = by_height(on_circle if f.is_delta_like else on_lines)
     return Hyperfunction1D(f_plus=G, f_minus=G, strip=strip,
-                           growth=f.growth, label=f"std({f.label})",
+                           growth=growth, label=f"std({f.label})",
                            tail_gain=max(f.tail_gain, 1))
 
 

@@ -5,10 +5,10 @@ rule per panel (21 points, the 10 Gauss points among them): a round
 evaluates all its new panels in one call of the integrand.  Truncation
 tails of line integrals are certified from a declared growth class and a
 polynomial weight by ``tail_bound``; ``auto_radius`` inverts it by
-bisection, down to adjacent floats.  The weighted tail of an exp_decay class
-is an upper incomplete gamma function, in closed form for integer order
-(DLMF 8.4.8): Gamma(n, y) = (n-1)! e^(-y) sum_{k<n} y^k / k!; a non-integer
-order s is bounded above by y^(s - ceil(s)) Gamma(ceil(s), y).
+bisection, down to adjacent floats.  The weighted tail of an exp_decay or
+gaussian class is an upper incomplete gamma function, in closed form for
+integer order (DLMF 8.4.8): Gamma(n, y) = (n-1)! e^(-y) sum_{k<n} y^k / k!;
+a non-integer order s is bounded above by y^(s - ceil(s)) Gamma(ceil(s), y).
 Exponential sums over a composite Gauss-Legendre rule factor each node
 m_p + h x_k into its panel midpoint and offset, and the equally spaced
 midpoints into a coarse and a fine step, so they take about 2 sqrt(panels)
@@ -360,13 +360,28 @@ def integrate_box(integrand: Callable, box, abs_tol: float = 1e-9,
 
 def tail_bound(growth: GrowthClass, weight_exponent: float, radius: float) -> float:
     """Upper bound for the two discarded tails |x| > radius of a line integral
-    of a function in the declared class against a weight |x|^weight_exponent.
+    of a function in the declared class against a weight (1 + |x|)^w, w =
+    ``weight_exponent``.  The exp_decay branch integrates x^w for w > 0.
+
+    A gaussian class C e^(-a x^2) takes (1 + x)^w <= (1 + R)^w and
+    int_R^inf e^(-a x^2) dx <= e^(-a R^2) / (2 a R) for w <= 0; for w > 0,
+    (1 + x)^w <= ((1 + R) / R)^w x^w and int_R^inf x^w e^(-a x^2) dx =
+    a^(-s) Gamma(s, a R^2) / 2 with s = (w + 1) / 2, where Gamma(s, y) <=
+    y^(s-1) e^(-y) for s <= 1 (t^(s-1) <= y^(s-1) for t >= y).
     """
     if growth is None:
         raise ValueError("tail_bound requires a growth class")
     w = float(weight_exponent)
     r = float(radius)
     c = growth.constant
+    if growth.kind == "gaussian":
+        a = growth.rate
+        y = a * r * r
+        if w <= 0:
+            return 2.0 * c * (1.0 + r) ** w * math.exp(-y) / (2.0 * a * r)
+        s = 0.5 * (w + 1.0)
+        gamma = y ** (s - 1.0) * math.exp(-y) if s <= 1.0 else _upper_gamma(s, y)
+        return c * ((1.0 + r) / r) ** w * a ** -s * gamma
     if growth.kind == "exp_decay":
         d = growth.rate
         if w <= 0:

@@ -270,17 +270,22 @@ def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
     sums over its own memoized degree-8 projection, from 16·2^k u-panels."""
     omega = _check_unit(omega, f.dimension)
     if isinstance(f, DeltaCombo):
+        terms = list(_projected_terms(f, omega))
+        powers = [0.0] * (max(m for _, m, _ in terms) + 1)
+        for _, m, c in terms:  # |hat(rho)| <= sum_m powers[m] |rho|^m
+            powers[m] += abs(c)
+
         def hat(rho, order=0):
             if order != 0:
                 raise NotImplementedError("ray fields expose only order 0")
             rho = np.asarray(rho, dtype=float)
             total = np.zeros(np.shape(rho), dtype=complex)
-            for adot, m, c in _projected_terms(f, omega):
+            for adot, m, c in terms:
                 total = total + c * (1j * rho) ** m * np.exp(-1j * rho * adot)
             return total
 
         return sp.SmoothField(hat, growth=GrowthClass.infra_exponential(),
-                              cheap=True, label=f"ray({f.label})")
+                              cheap=True, label=f"ray({f.label})", powers=tuple(powers))
 
     extent = BOX_RADIUS * math.sqrt(f.dimension)
     weighted = _weighted_projection(f, omega, 8, 1e-10)

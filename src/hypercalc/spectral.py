@@ -35,8 +35,8 @@ from . import hyper as hy
 from .growth import GrowthClass
 from .hyper import (AdmissibilityError, ContourSpec, Hyperfunction1D,
                     TestFunction, LocalOperator, TWO_PI_I)
-from .quad import (CompositeRule, ConvergenceError, adaptive_interval, by_height,
-                   refine, auto_radius as quad_auto_radius)
+from .quad import (CompositeRule, ConvergenceError, _upper_gamma, adaptive_interval,
+                   by_height, refine, auto_radius as quad_auto_radius)
 
 __all__ = [
     "SmoothField", "AsymptoticSum", "fourier_transform",
@@ -113,6 +113,9 @@ class SmoothField:
     label: str = ""
     cheap: bool = False  # True when evaluation is closed-form, not quadrature
     table: Optional[Callable] = None  # vectorized evaluation on a batch of xi
+    # b_m of a certified envelope |g(xi)| <= sum_m b_m |xi|^m, which then sets
+    # the inverse transform's cutoff in place of the growth constant
+    powers: tuple = ()
 
     def __call__(self, xi, order: int = 0):
         return self.evaluator(xi, order)
@@ -192,7 +195,8 @@ def _laurent_coefficients(f: Hyperfunction1D):
 
 
 def _delta_like_hat(f: Hyperfunction1D):
-    """Closed-form transform: hat f(xi) = -2 pi i Res(F(z) (-iz)^q e^(-iz xi)).
+    """Closed-form transform: hat f(xi) = -2 pi i Res(F(z) (-iz)^q e^(-iz xi)),
+    and the b_m of |hat f(xi)| <= sum_m b_m |xi|^m, b_m = 2 pi |a_(m+1)| / m!.
 
     The residue is sum_l a_(l+1) T_l, T_l the l-th Taylor coefficient of
     (-iz)^q e^(-iz xi) at x0, i.e. e^(-i x0 xi) sum_j D_j (-i xi)^(l-j) /
@@ -218,7 +222,7 @@ def _delta_like_hat(f: Hyperfunction1D):
             total = total * np.exp(-1j * x0 * xi)
         return -TWO_PI_I * total
 
-    return hat
+    return hat, tuple(2.0 * math.pi * np.abs(a) * inv_fact)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +236,8 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
             "fourier_transform accepts asymptotic inputs only; tempered "
             "transforms are finite-order distributions, out of numeric scope")
     if f.is_delta_like:
-        return SmoothField(_delta_like_hat(f), label=f"ft({f.label})", cheap=True)
+        hat, powers = _delta_like_hat(f)
+        return SmoothField(hat, label=f"ft({f.label})", cheap=True, powers=powers)
 
     eta = 0.4 * min(f.strip, 1.0)
     # One vanishing branch means f continues across the axis, so each
@@ -308,17 +313,35 @@ def inverse_fourier(g: SmoothField, label: str = "",
     whatever decay g itself has.  Each branch is built with
     ``quad.by_height``: the cutoff X, the damping |Im z| and the start level
     of the degree-16 panel doubling come from the points of one height.
+    A field with ``powers`` b_m takes the smallest X, to a relative 1e-3,
+    whose tail (1/2 pi) sum_m b_m Gamma(m+1, rate X) / rate^(m+1) is at most
+    abs_tol * 1e-2; any other field the X where its growth constant times
+    e^(-rate X) is.
     """
     if g.growth.kind == "exp_decay":
         base_rate = g.growth.rate
     else:
         base_rate = 0.0
 
+    def power_tail(x, rate):
+        return sum(b * _upper_gamma(m + 1.0, rate * x) / rate ** (m + 1)
+                   for m, b in enumerate(g.powers) if b) / (2.0 * math.pi)
+
+    @lru_cache(maxsize=None)
     def xi_cutoff(eta):
         rate = base_rate + eta
         if rate <= 0:
             raise AdmissibilityError("half-line integral diverges on the axis")
-        return math.log(max(g.growth.constant, 1.0) / (abs_tol * 1e-2)) / rate
+        target = abs_tol * 1e-2
+        if not g.powers:
+            return math.log(max(g.growth.constant, 1.0) / target) / rate
+        lo, hi = 0.0, 1.0 / rate
+        while power_tail(hi, rate) > target:
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 1e-3 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if power_tail(mid, rate) <= target else (mid, hi)
+        return hi
 
     gg = g
     if not g.cheap:

@@ -97,6 +97,29 @@ def test_pair_lines_shift_invariance():
     assert abs(v1 - v2) < 1e-10
 
 
+# real-axis values of the corpus's line-route inputs and of the test suite
+_REAL_AXIS = {
+    "sech": mp.sech,
+    "gaussian": lambda x: mp.exp(-x * x / 2),
+    "lorentz": lambda x: 1 / (1 + x * x),
+    "gauss": lambda x: mp.exp(-x * x),
+    "affine_gauss": lambda x: (1 + x) * mp.exp(-x * x / 2),
+    "bump": lambda x: mp.exp(-x * x / 4) * (1 + x * x / 4),
+    "sech_gauss": lambda x: mp.sech(x) * mp.exp(-x * x / 8),
+}
+
+
+@pytest.mark.parametrize("label", ["sech", "gaussian", "lorentz"])
+def test_line_route_bound_covers_the_real_axis_reference(label):
+    f = cp.default_corpus()[label]
+    with mp.workdps(30):
+        for phi in SUITE:
+            value, bound = hy.pair_with_error(f, phi)
+            fx, px = _REAL_AXIS[label], _REAL_AXIS[phi.label]
+            want = complex(mp.quad(lambda x: fx(x) * px(x), [-mp.inf, 0, mp.inf]))
+            assert abs(value - want) <= bound, (phi.label, abs(value - want), bound)
+
+
 def test_circle_vs_line_route_for_delta():
     f = hy.delta_derivative(2)
     phi = SUITE[0]

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import hypercalc.corpus as cp
@@ -128,6 +129,22 @@ def test_residual_check_on_solutions():
     corpus = cp.default_corpus()
     assert od.residual_check(corpus["ode_f1"], L, SUITE) < 1e-12
     assert od.residual_check(corpus["ode_f2"], L, SUITE) < 1e-12
+
+
+# the suite, and gauss under the exp_decay class TestFunction defaults to
+@pytest.mark.parametrize("phi", SUITE + [hy.TestFunction(
+    SUITE[0].expr, math.inf, GrowthClass.exp_decay(1.0, constant=3.0), "gauss_exp")],
+    ids=lambda phi: phi.label)
+def test_adjoint_test_function_meets_its_envelope(phi):
+    assert od.residual_check(cp.default_corpus()["ode_f2"], L, [phi]) < 1e-12
+    lstar = od._adjoint_test_function(L, phi)
+    assert lstar.growth.kind == phi.growth.kind and lstar.growth.rate == phi.growth.rate / 2
+    x = np.linspace(-40.0, 40.0, 1601)
+    env = np.array([lstar.growth.envelope(abs(v)) for v in x])
+    live = env > 1e-290  # past it the envelope is near underflow
+    for y in (0.0, lstar.strip_halfwidth, -lstar.strip_halfwidth):
+        got = np.abs(ex.evaluate(lstar.expr, {"z": x + 1j * y}))
+        assert np.all(got[live] <= env[live]), y
 
 
 def test_residual_check_flags_non_solution():

@@ -4,8 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import hypercalc.corpus as cp
 import hypercalc.expr as ex
-from hypercalc.growth import GrowthClass
+from hypercalc.growth import GrowthClass, GrowthError
 from hypercalc.hyper import _geometric_breakpoints
 import hypercalc.quad as quad
 from hypercalc.quad import (_WG, _WK, _XK, ConvergenceError, DimensionError,
@@ -188,6 +189,60 @@ def test_exp_decay_tail_bound_is_the_incomplete_gamma_tail():
                 got = tail_bound(GrowthClass.exp_decay(d, constant=c), float(w), r)
                 want = 2 * c * mp.quad(lambda x: x ** w * mp.exp(-d * x), [r, mp.inf])
                 assert abs(got - want) <= 1e-14 * want, (w, d, r)
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5, 0.25, 0.125])
+def test_gaussian_tail_bound_against_mpmath(a):
+    # 2 C int_R^inf (1 + x)^w e^(-a x^2) dx: bounded above, within 10x past R = 3
+    c = 3.0
+    with mp.workdps(30):
+        for w in (-1.0, 0.0, 0.5, 1.0, 2.0, 6.0, 8.0):
+            for r in (1.0, 3.0, 5.0, 10.0, 15.0, 25.0):
+                h = 1.0 / (2.0 * a * r)  # the integrand's decay length at R
+                cuts = sorted({r, r + h, r + 4 * h, r + 16 * h,
+                               max(r, math.sqrt(w / (2 * a))) if w > 0 else r})
+                want = 2 * c * mp.quad(lambda x: (1 + x) ** w * mp.exp(-a * x * x),
+                                       cuts + [mp.inf])
+                got = tail_bound(GrowthClass.gaussian(a, constant=c), w, r)
+                assert got >= want, (w, r)
+                if r >= 3.0:
+                    assert got <= 10 * want, (w, r, got / want)
+
+
+def test_gaussian_class_order_envelope_and_json():
+    g = GrowthClass.gaussian(0.25, constant=5.0)
+    assert g.envelope(2.0) == 5.0 * math.exp(-1.0)
+    assert g.fits_within(GrowthClass.exp_decay(40.0))
+    assert g.fits_within(GrowthClass.gaussian(0.125))
+    assert not g.fits_within(GrowthClass.gaussian(0.5))
+    assert not GrowthClass.exp_decay(40.0).fits_within(g)
+    assert GrowthClass.from_json(g.to_json()) == g
+    with pytest.raises(GrowthError):
+        GrowthClass.gaussian(0.0)
+
+
+def _gaussian_damped():
+    """(label, expression, class, strip) of the Gaussian-damped corpus members."""
+    g = cp.default_corpus()["gaussian"]
+    members = [(phi.label, phi.expr, phi.growth, phi.strip_halfwidth)
+               for phi in cp.test_suite()] + [("gaussian", g.f_plus, g.growth, g.strip)]
+    return [pytest.param(*m, id=m[0]) for m in members]
+
+
+@pytest.mark.parametrize("label, e, growth, strip", _gaussian_damped())
+def test_gaussian_damped_corpus_meets_its_envelope(label, e, growth, strip):
+    assert growth.kind == "gaussian"
+    heights = [0.0, 0.25, -0.25, 0.5, -0.5] + ([0.7, -0.7] if strip < math.inf else [])
+    x = np.linspace(-40.0, 40.0, 1601)
+    env = np.array([growth.envelope(abs(v)) for v in x])
+    worst = 0.0
+    for y in heights:
+        got = np.abs(ex.evaluate(e, {"z": x + 1j * y}))
+        live = env > 1e-290  # past it the envelope is near underflow
+        assert np.all(got[live] <= env[live]), (label, y)
+        assert np.all(got[~live] <= 1e-280), (label, y)
+        worst = max(worst, float(np.max(got[live] / env[live])))
+    assert worst <= 0.5, (label, worst)
 
 
 def test_integrate_box_gaussian_2d():

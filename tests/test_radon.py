@@ -43,6 +43,16 @@ def test_gaussian_slice_pairing_value():
         assert abs(got - math.pi / math.sqrt(2.0)) < 1e-8
 
 
+@pytest.mark.parametrize("omega", [(0.6, 0.8), (1.0, 0.0), (-0.28, 0.96)])
+def test_point_source_fourier_route_G_meets_abs_tol(omega):
+    direct = rd.radon_transform(MD["point_J"], omega).hyper.f_plus
+    via_ft = rd.radon_via_fourier(MD["point_J"], omega).f_plus
+    x = np.array([-3.0, -1.0, -0.3, 0.0, 0.4, 1.5, 4.0])
+    for y in (0.5, 0.25):
+        err = np.max(np.abs(via_ft(x + 1j * y) - direct(x + 1j * y)))
+        assert err <= 1e-10, (y, err)
+
+
 def test_point_source_slice_is_delta_combo():
     omega = np.array([0.6, 0.8])
     sl = rd.radon_transform(MD["point_a"], omega)

@@ -143,6 +143,17 @@ def test_inverse_branch_value_does_not_depend_on_batch():
         assert branch(z[0]) == branch(z)[0]
 
 
+@pytest.mark.parametrize("label", ["delta2", "delta3", "ode_f1"])
+def test_delta_like_round_trip_branch_meets_abs_tol(label):
+    # |hat f(xi)| grows like |xi|^n: the cutoff comes from its power envelope
+    f = CORPUS[label]
+    back = sp.inverse_fourier(sp.fourier_transform(f))
+    x = np.array([-3.0, -1.0, -0.3, 0.0, 0.4, 1.5, 4.0])
+    for y in (0.5, 0.25):
+        err = np.max(np.abs(back.f_plus(x + 1j * y) - f.f_plus(x + 1j * y)))
+        assert err <= 1e-10, (y, err)
+
+
 def test_inverse_fourier_of_one_is_delta():
     fld = sp.SmoothField(lambda xi, order=0: np.ones_like(np.asarray(xi,
                                                                      dtype=complex)),
