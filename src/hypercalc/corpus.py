@@ -24,7 +24,7 @@ from .odeseries import PolyCoeffOperator, solve_series, assemble
 
 __all__ = [
     "default_corpus", "test_suite", "multidim_corpus", "example_operator",
-    "corpus_to_json", "corpus_from_json", "load_corpus", "save_corpus",
+    "corpus_to_json", "corpus_from_json", "load_corpus",
 ]
 
 
@@ -170,6 +170,3 @@ def load_corpus(path) -> Dict[str, Hyperfunction1D]:
         return default_corpus()
     return corpus_from_json(p.read_text())
 
-
-def save_corpus(corpus: Dict[str, Hyperfunction1D], path) -> None:
-    Path(path).write_text(corpus_to_json(corpus))

@@ -9,7 +9,9 @@ differentiation is symbolic.
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 import threading
 import weakref
 
@@ -220,159 +222,114 @@ def _map_distinct(root, rule, done=None):
 
 # ---------------------------------------------------------------------------
 # Parser
+#
+# The language is CPython's expression grammar cut to the nodes read below,
+# with ``^`` for integer powers: ``ast.parse`` reads the text with each ``^``
+# written ``**``, and a walk without recursion turns its tree into an
+# interned one, so only CPython's parser limits the depth of a text.
 
-_TOK_NUM = "num"
-_TOK_IDENT = "ident"
-_TOK_OP = "op"
-_TOK_END = "end"
-
-
-def _tokenize(text):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append((_TOK_NUM, text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append((_TOK_IDENT, text[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^()":
-            tokens.append((_TOK_OP, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i + 1)
-    tokens.append((_TOK_END, "", n))
-    return tokens
+# characters outside the language, the ``**`` that ``^`` stands for, and an
+# exponent in parentheses, which CPython's tree does not show
+_FOREIGN = re.compile(r"[^0-9A-Za-z.+\-*/^()\s]|(?<=\*)\*|\^\s*(?:-\s*)?\(")
+_BLANK = re.compile(r"\s")
+_BINARY = {ast.Add: Add, ast.Sub: Sub, ast.Mult: Mul, ast.Div: Div}
+_NAMES = {"i": Const(1j), "pi": Const(complex(math.pi)),
+          **{name: Var(name) for name in COORD_NAMES}}
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _operands(node):
+    """The operand nodes that the tree of ``node`` is built over."""
+    if type(node) is ast.BinOp:
+        return (node.left,) if type(node.op) is ast.Pow else (node.left, node.right)
+    if type(node) is ast.UnaryOp:
+        return (node.operand,)
+    if type(node) is ast.Call:
+        return node.args
+    return ()
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _exponent(node, src):
+    """``n`` of an exponent ``n`` or ``-n``, n a decimal integer literal;
+    None for any other exponent."""
+    negative = type(node) is ast.UnaryOp and type(node.op) is ast.USub
+    if negative:
+        node = node.operand
+    if type(node) is ast.Constant and type(node.value) is int \
+            and src[node.col_offset:node.end_col_offset].isdigit():
+        return -node.value if negative else node.value
+    return None
 
-    def expect_op(self, op):
-        kind, val, at = self.peek()
-        if kind != _TOK_OP or val != op:
-            raise ParseError(f"expected {op!r}", at + 1)
-        return self.next()
 
-    def parse(self):
-        e = self.expr()
-        kind, val, at = self.peek()
-        if kind != _TOK_END:
-            raise ParseError(f"unexpected token {val!r}", at + 1)
-        return e
-
-    def expr(self):
-        e = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == _TOK_OP and val in "+-":
-                self.next()
-                rhs = self.term()
-                e = Add(e, rhs) if val == "+" else Sub(e, rhs)
-            else:
-                return e
-
-    def term(self):
-        e = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == _TOK_OP and val in "*/":
-                self.next()
-                rhs = self.factor()
-                if val == "/":
-                    e = Div(e, rhs)
-                elif isinstance(e, Const) and isinstance(rhs, Const):
-                    e = Const(e.value * rhs.value)  # as printed, e.g. (0.5*i)
-                else:
-                    e = Mul(e, rhs)
-            else:
-                return e
-
-    def factor(self):
-        kind, val, at = self.peek()
-        if kind == _TOK_OP and val == "-":
-            self.next()
-            arg = self.factor()
-            return Const(-arg.value) if isinstance(arg, Const) else Neg(arg)
-        e = self.base()
-        kind, val, _ = self.peek()
-        if kind == _TOK_OP and val == "^":
-            self.next()
-            nkind, nval, nat = self.peek()
-            sign = 1
-            if nkind == _TOK_OP and nval == "-":
-                self.next()
-                sign = -1
-                nkind, nval, nat = self.peek()
-            if nkind != _TOK_NUM or not nval.isdigit():
-                raise ParseError("expected integer exponent", nat + 1)
-            self.next()
-            return Pow(e, sign * int(nval))
-        return e
-
-    def base(self):
-        kind, val, at = self.next()
-        if kind == _TOK_NUM:
-            x = float(val)
+def _tree(node, trees, src, place):
+    """The interned tree of ``node``, built over the trees of its operands,
+    which it takes off the end of ``trees``; ``src`` is the text CPython read
+    and ``place(k)`` the caller's offset of its character k."""
+    kind = type(node)
+    if kind is ast.BinOp:
+        op = type(node.op)
+        if op is ast.Pow:
+            n = _exponent(node.right, src)
+            if n is None:
+                raise ParseError("expected integer exponent", place(node.right.col_offset))
+            return Pow(trees.pop(), n)
+        right, left = trees.pop(), trees.pop()
+        if op is ast.Mult and isinstance(left, Const) and isinstance(right, Const):
+            return Const(left.value * right.value)  # as printed, e.g. (0.5*i)
+        if op in _BINARY:
+            return _BINARY[op](left, right)
+    elif kind is ast.UnaryOp and type(node.op) is ast.USub:
+        arg = trees.pop()
+        return Const(-arg.value) if isinstance(arg, Const) else Neg(arg)
+    elif kind is ast.Call:
+        if getattr(node.func, "id", None) in _FUNCTIONS and len(node.args) == 1:
+            return Call(node.func.id, trees.pop())
+    elif kind is ast.Name:
+        if node.id in _NAMES:
+            return _NAMES[node.id]
+    elif kind is ast.Constant and type(node.value) in (int, float):
+        digits = src[node.col_offset:node.end_col_offset]
+        if type(node.value) is float or digits.isdigit():
+            x = float(digits)
             if not math.isfinite(x):
-                raise ParseError(f"number {val!r} out of range", at + 1)
+                raise ParseError(f"number {digits!r} out of range", place(node.col_offset))
             return Const(complex(x))
-        if kind == _TOK_IDENT:
-            if val == "i":
-                return Const(1j)
-            if val == "pi":
-                return Const(complex(math.pi))
-            if val in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(val, arg)
-            if val in COORD_NAMES:
-                return Var(val)
-            raise ParseError(f"unknown identifier {val!r}", at + 1)
-        if kind == _TOK_OP and val == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", at + 1)
+    segment = src[node.col_offset:node.end_col_offset]
+    raise ParseError(f"{segment!r} is not in the language", place(node.col_offset))
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse ``text`` into an expression tree."""
-    return _Parser(text).parse()
+    """Parse ``text`` into an expression tree.
+
+    A ``ParseError`` carries the 1-based offset of the fault in ``text``; for
+    a syntax error, the message and the offset are CPython's.
+    """
+    bad = _FOREIGN.search(text)
+    if bad:
+        raise ParseError(f"unexpected {bad.group()!r}", bad.end())
+    src = _BLANK.sub(" ", text).replace("^", "**")
+    body = src.lstrip()
+
+    def place(k):  # the offset in text of character k of body
+        at = [j for j, c in enumerate(text, 1) for _ in range(1 + (c == "^"))]
+        k += len(src) - len(body)
+        return at[k] if k < len(at) else len(text) + 1
+
+    try:
+        root = ast.parse(body, mode="eval").body
+    except SyntaxError as exc:
+        k = exc.offset - 1 if exc.offset else len(body)
+        raise ParseError(exc.msg, place(k)) from None
+    except RecursionError:
+        raise ParseError("expression too deeply nested", 1) from None
+    order, stack = [], [root]  # order: each node before its operands
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(_operands(node))
+    trees = []
+    for node in reversed(order):
+        trees.append(_tree(node, trees, body, place))
+    return trees[0]
 
 
 # ---------------------------------------------------------------------------

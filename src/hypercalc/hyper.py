@@ -26,8 +26,7 @@ from .quad import (ContourSpec, ConvergenceError, adaptive_interval,
 __all__ = [
     "Hyperfunction1D", "TestFunction", "LocalOperator", "AdmissibilityError",
     "embed_real_analytic", "delta_combination", "delta_derivative", "pair",
-    "scale_pair", "standardize", "apply_local_operator", "cauchy_hilbert_kernel",
-    "laurent_polynomial",
+    "scale_pair", "standardize", "apply_local_operator", "laurent_polynomial",
 ]
 
 TWO_PI_I = 2j * math.pi
@@ -255,11 +254,6 @@ _STD_BLOCK = 1 << 12
 def _std_kernel(d):
     """(-1/2 pi i) e^(-d^2) / d at d = z - w; the standardizing kernel."""
     return (-1.0 / TWO_PI_I) * np.exp(-(d * d)) / d
-
-
-def cauchy_hilbert_kernel(z: complex):
-    """w -> (-1/2 pi i) e^(-(z-w)^2) / (z - w); the standardizing kernel."""
-    return lambda w: _std_kernel(z - np.asarray(w))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 from . import expr as ex
@@ -80,27 +80,6 @@ class FormalLaurentTail:
     def __post_init__(self):
         if self.parity not in ("delta", "fp"):
             raise ValueError(f"unknown parity {self.parity!r}")
-
-    @classmethod
-    def from_delta_coefficients(cls, cs: Sequence, n_max: Optional[int] = None):
-        """Tail of sum c_n delta^(n)."""
-        n_max = len(cs) if n_max is None else n_max
-        coeffs = {}
-        for n, c in enumerate(cs):
-            if c:
-                coeffs[n + 1] = c * (-1) ** n * math.factorial(n)
-        return cls(parity="delta", coefficients=coeffs, n_max=n_max)
-
-    def delta_coefficient(self, n: int):
-        """Coefficient of delta^(n), for delta-type tails."""
-        if self.parity != "delta":
-            raise ValueError("not a delta-type tail")
-        g = self.coefficients.get(n + 1, 0)
-        if not g:
-            return g
-        if _is_exact(g):
-            return g * Fraction((-1) ** n, math.factorial(n))
-        return g * (-1) ** n / math.factorial(n)
 
     def is_zero(self) -> bool:
         return not any(self.coefficients.values())

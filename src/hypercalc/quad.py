@@ -361,8 +361,10 @@ def integrate_box(integrand: Callable, box, abs_tol: float = 1e-9,
 def tail_bound(growth: GrowthClass, weight_exponent: float, radius: float) -> float:
     """Upper bound for the two discarded tails |x| > radius of a line integral
     of a function in the declared class against a weight (1 + |x|)^w, w =
-    ``weight_exponent``.  The exp_decay branch integrates x^w for w > 0.
+    ``weight_exponent``.
 
+    An exp_decay class C e^(-d x) takes, for w > 0, int_R^inf (1 + x)^w
+    e^(-d x) dx = e^d d^(-w-1) Gamma(w + 1, d (1 + R)) (t = d (1 + x)).
     A gaussian class C e^(-a x^2) takes (1 + x)^w <= (1 + R)^w and
     int_R^inf e^(-a x^2) dx <= e^(-a R^2) / (2 a R) for w <= 0; for w > 0,
     (1 + x)^w <= ((1 + R) / R)^w x^w and int_R^inf x^w e^(-a x^2) dx =
@@ -386,8 +388,7 @@ def tail_bound(growth: GrowthClass, weight_exponent: float, radius: float) -> fl
         d = growth.rate
         if w <= 0:
             return 2.0 * c * (1.0 + r) ** w * math.exp(-d * r) / d
-        # int_R^inf x^w e^(-d x) dx = d^(-w-1) Gamma(w+1, d R)
-        return 2.0 * c * d ** (-w - 1.0) * _upper_gamma(w + 1.0, d * r)
+        return 2.0 * c * math.exp(d) * d ** (-w - 1.0) * _upper_gamma(w + 1.0, d * (1.0 + r))
     if growth.kind == "tempered":
         p = growth.gamma + w
         if p >= -1.0:

@@ -470,7 +470,7 @@ class GevreyFit:
     derivative_magnitudes: tuple
     envelope_ok: bool
     negligible: bool
-    residual: float = 0.0
+    residual: float
 
 
 def gevrey_probe(f: MultiDimFunction, omega0, tau0: complex,

@@ -204,6 +204,13 @@ def test_unknown_keys_and_malformed_values_exit_2(tmp_path, capsys, command,
     assert err.startswith("error: ") and message in err
 
 
+def test_field_past_cpython_nesting_limit_exits_2(tmp_path, capsys):
+    field = "(" * 300 + "z" + ")" * 300
+    code, _ = run(["invfourier", "--field", field], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_multiplier_report_says_whether_k_reached_its_target(tmp_path):
     code, out = run(["multiplier", "--phi", "log"], tmp_path)
     assert code == 0
@@ -226,7 +233,7 @@ def test_corpus_file_round_trip(tmp_path):
     exprs = {label: f for label, f in cp.default_corpus().items()
              if isinstance(f.f_plus, ex.Expr) and isinstance(f.f_minus, ex.Expr)}
     path = tmp_path / "corpus.json"
-    cp.save_corpus(exprs, path)
+    path.write_text(cp.corpus_to_json(exprs))
     loaded = cp.load_corpus(path)
     assert cp.corpus_to_json(loaded) == cp.corpus_to_json(exprs)
     gauss = next(t for t in cp.test_suite() if t.label == "gauss")

@@ -1,0 +1,44 @@
+"""Design measures of the package that a change must not let grow unseen."""
+import ast
+from pathlib import Path
+
+import hypercalc
+
+# Settable values after the last change that added or removed one.  A new
+# option raises this number in the same diff that gives its reason.
+SETTABLE_VALUES = 84
+
+
+def _is_dataclass(cls):
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _defaults(fn):
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+def settable_values(package_dir):
+    """Defaulted parameters of module-level functions and of methods, plus
+    defaulted dataclass fields; nested functions are not counted."""
+    count = 0
+    for path in sorted(Path(package_dir).glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                count += _defaults(node)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        count += _defaults(item)
+                    elif (isinstance(item, ast.AnnAssign) and item.value is not None
+                          and _is_dataclass(node)):
+                        count += 1
+    return count
+
+
+def test_settable_values_do_not_grow():
+    assert settable_values(Path(hypercalc.__file__).parent) <= SETTABLE_VALUES

@@ -115,6 +115,32 @@ def test_parse_error_offset():
     assert exc.value.position == 3
 
 
+_Z, _TWO = ex.Var("z"), ex.Const(2 + 0j)
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("-2^2", ex.Neg(ex.Pow(_TWO, 2))),
+    ("2*-3", ex.Const(complex(-6.0, -0.0))),  # (2+0j) * (-3-0j), folded
+    ("(0.5*i)", ex.Const(complex(0.0, 0.5))),
+    ("z^-3", ex.Pow(_Z, -3)),
+    ("exp (z)", ex.Call("exp", _Z)),
+    ("\tz\n*\u2003exp(z) ", ex.Mul(_Z, ex.Call("exp", _Z))),
+])
+def test_grammar_accepts(text, tree):
+    assert ex.parse_expr(text) is tree
+
+
+@pytest.mark.parametrize("text", [
+    "z^(2)", "z^-(2)", "z**2", "z #c", "0x1f", "1_0", "1j", "\u00b2", "\uff5a",
+    "1.2.3", "z^2^3", "+z", "exp()", "exp(z,z)", "pi(z)", "z.real", "z<1", "",
+    pytest.param("(" * 300 + "z" + ")" * 300, id="300-nested-parentheses"),
+])
+def test_grammar_rejects_with_an_offset_in_the_text(text):
+    with pytest.raises(ex.ParseError) as exc:
+        ex.parse_expr(text)
+    assert 1 <= exc.value.position <= len(text) + 1
+
+
 def test_unknown_identifier():
     with pytest.raises(ex.ParseError):
         ex.parse_expr("foo(z)")

@@ -34,13 +34,11 @@ def test_fp_recursion_exact():
 
 
 def test_apply_operator_on_delta():
-    # L = t^2 D - 1 applied to delta'' gives 6 delta' - delta''
-    s = od.FormalLaurentTail.from_delta_coefficients([0, 0, 1], n_max=8)
+    # L = t^2 D - 1 applied to delta'' gives 6 delta' - delta''; the tail of
+    # sum c_n delta^(n) has g_(n+1) = (-1)^n n! c_n
+    s = od.FormalLaurentTail("delta", {3: 2}, 8)
     out = od.apply_operator(L, s)
-    assert out.delta_coefficient(1) == 6
-    assert out.delta_coefficient(2) == -1
-    assert out.delta_coefficient(0) == 0
-    assert out.delta_coefficient(3) == 0
+    assert out.coefficients == {2: -6, 3: -2}
 
 
 def test_apply_operator_on_fp():

@@ -182,12 +182,12 @@ def test_upper_gamma_against_mpmath():
 
 
 def test_exp_decay_tail_bound_is_the_incomplete_gamma_tail():
-    # 2 C int_R^inf x^w e^(-d x) dx = 2 C d^(-w-1) Gamma(w+1, d R)
+    # 2 C int_R^inf (1+x)^w e^(-d x) dx = 2 C e^d d^(-w-1) Gamma(w+1, d (1+R))
     with mp.workdps(30):
         for w in range(1, 7):
             for d, c, r in ((0.5, 3.0, 7.0), (1.4, 1.0, 30.0), (2.0, 10.0, 0.75)):
                 got = tail_bound(GrowthClass.exp_decay(d, constant=c), float(w), r)
-                want = 2 * c * mp.quad(lambda x: x ** w * mp.exp(-d * x), [r, mp.inf])
+                want = 2 * c * mp.quad(lambda x: (1 + x) ** w * mp.exp(-d * x), [r, mp.inf])
                 assert abs(got - want) <= 1e-14 * want, (w, d, r)
 
 
