@@ -227,6 +227,10 @@ def _map_distinct(root, rule, done=None):
 # with ``^`` for integer powers: ``ast.parse`` reads the text with each ``^``
 # written ``**``, and a walk without recursion turns its tree into an
 # interned one, so only CPython's parser limits the depth of a text.
+# CPython 3.11 bounds that depth by the recursion limit less the frames in
+# use, so a text too deep for the caller's stack is parsed again on a new
+# thread: a chain such as ``z+z+...`` parses up to 2984 terms at the default
+# limit from any caller.
 
 # characters outside the language, the ``**`` that ``^`` stands for, and an
 # exponent in parentheses, which CPython's tree does not show
@@ -314,13 +318,24 @@ def parse_expr(text: str) -> Expr:
         k += len(src) - len(body)
         return at[k] if k < len(at) else len(text) + 1
 
-    try:
-        root = ast.parse(body, mode="eval").body
-    except SyntaxError as exc:
-        k = exc.offset - 1 if exc.offset else len(body)
-        raise ParseError(exc.msg, place(k)) from None
-    except RecursionError:
-        raise ParseError("expression too deeply nested", 1) from None
+    out = []
+
+    def read():
+        try:
+            out.append(ast.parse(body, mode="eval").body)
+        except (SyntaxError, RecursionError) as exc:
+            out.append(exc)
+
+    read()
+    if isinstance(out[-1], RecursionError):  # again from a new thread's stack
+        reader = threading.Thread(target=read)
+        reader.start()
+        reader.join()
+    root = out[-1]
+    if isinstance(root, SyntaxError):
+        raise ParseError(root.msg, place(root.offset - 1 if root.offset else len(body)))
+    if isinstance(root, RecursionError):
+        raise ParseError("expression too deeply nested", 1)
     order, stack = [], [root]  # order: each node before its operands
     while stack:
         node = stack.pop()
@@ -335,7 +350,6 @@ def parse_expr(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # Printing
 
-# precedence contexts: 0 = additive, 1 = multiplicative, 2 = power base
 def _fmt_real(x):
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
@@ -357,31 +371,22 @@ def _const_str(v):
     return f"({_fmt_real(v.real)}{sign}{_fmt_real(abs(v.imag))}*i)", 3
 
 
-def _to_str(e, level):
-    # returns string valid in a context of the given precedence level
+# node -> (text, each child's least precedence, its own): 0 +-, 1 */, 2 ^, 3 atom
+_LAYOUT = {Add: ("{}+{}", (0, 1), 0), Sub: ("{}-{}", (0, 1), 0),
+           Mul: ("{}*{}", (1, 2), 1), Div: ("{}/{}", (1, 2), 1), Neg: ("(-{})", (2,), 3)}
+
+
+def _printed(e, kids):
+    """(text, precedence) of ``e`` from those of its children."""
     if isinstance(e, Const):
-        s, prec = _const_str(e.value)
-    elif isinstance(e, Var):
-        s, prec = e.name, 3
-    elif isinstance(e, Add):
-        s, prec = f"{_to_str(e.left, 0)}+{_to_str(e.right, 1)}", 0
-    elif isinstance(e, Sub):
-        s, prec = f"{_to_str(e.left, 0)}-{_to_str(e.right, 1)}", 0
-    elif isinstance(e, Mul):
-        s, prec = f"{_to_str(e.left, 1)}*{_to_str(e.right, 2)}", 1
-    elif isinstance(e, Div):
-        s, prec = f"{_to_str(e.left, 1)}/{_to_str(e.right, 2)}", 1
-    elif isinstance(e, Neg):
-        s, prec = f"(-{_to_str(e.arg, 2)})", 3
-    elif isinstance(e, Pow):
-        s, prec = f"{_to_str(e.base, 3)}^{e.exponent}", 2
-    elif isinstance(e, Call):
-        s, prec = f"{e.func}({_to_str(e.arg, 0)})", 3
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-    if prec < level:
-        return f"({s})"
-    return s
+        return _const_str(e.value)
+    if isinstance(e, Var):
+        return e.name, 3
+    form, levels, prec = (("{}^%d" % e.exponent, (3,), 2) if isinstance(e, Pow) else
+                          (e.func + "({})", (0,), 3) if isinstance(e, Call) else
+                          _LAYOUT[type(e)])
+    return form.format(*(f"({s})" if p < level else s
+                         for (s, p), level in zip(kids, levels))), prec
 
 
 def print_expr(e: Expr) -> str:
@@ -390,7 +395,9 @@ def print_expr(e: Expr) -> str:
     two constants, such as ``(0.5*i)``, into one ``Const``, so for parser
     output ``parse_expr(print_expr(t)) == t`` up to the sign of a zero part
     of a constant."""
-    return _to_str(e, 0)
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression: {e!r}")
+    return _map_distinct(e, _printed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from numpy.polynomial.legendre import leggauss
 from .growth import GrowthClass
 
 __all__ = [
-    "ContourSpec", "QuadResult", "CompositeRule", "tensor_grid", "refine",
+    "ContourSpec", "QuadResult", "CompositeRule", "refine",
     "by_height", "in_row_blocks", "integrate_box", "tail_bound",
     "verify_growth", "ConvergenceError", "DivergentTailError", "DimensionError",
 ]
@@ -105,9 +105,9 @@ def _workspace(n):
 
 
 class CompositeRule:
-    """``panels`` equal panels on [lo, hi], each carrying the ``degree``-point
-    Gauss-Legendre rule.  Point (p, k) is ``mid[p] + half * nodes[k]``;
-    ``points`` and ``weights`` are flattened panel by panel."""
+    """``panels`` equal panels on [lo, hi], each with the ``degree``-point
+    Gauss-Legendre rule (1: the midpoint rule).  Point (p, k) is ``mid[p] +
+    half * nodes[k]``; ``points`` and ``weights`` run panel by panel."""
 
     def __init__(self, lo: float, hi: float, panels: int, degree: int):
         self.nodes, ref_weights = _leggauss(degree)
@@ -160,15 +160,6 @@ class CompositeRule:
             by_step = (inner @ e_fine[:, :, None]).reshape(len(ct), rows, coarse)
             out[start:start + step] = (by_step @ e_coarse[:, :, None])[:, :, 0]
         return out.T.reshape(amps.shape[:-1] + t.shape)
-
-
-def tensor_grid(rules: Sequence[CompositeRule]):
-    """Points (N, len(rules)) and weights (N,) of the tensor product of
-    ``rules``, the first axis varying slowest."""
-    mesh = np.meshgrid(*[r.points for r in rules], indexing="ij")
-    wmesh = np.meshgrid(*[r.weights for r in rules], indexing="ij")
-    return (np.stack([m.ravel() for m in mesh], axis=-1),
-            np.prod([w.ravel() for w in wmesh], axis=0))
 
 
 def refine(evaluate: Callable, start: int, cap: int, abs_tol: float, what: str,
@@ -335,19 +326,23 @@ def integrate_box(integrand: Callable, box, abs_tol: float = 1e-9,
     """Tensor-product Gauss-Legendre over a box, refined by point doubling.
 
     ``box`` is a sequence of per-axis radii R_i (axis i spans [-R_i, R_i]).
-    ``integrand`` receives an (N, n) array of points.  n <= 3.
+    ``integrand`` receives n per-axis coordinate arrays of an open grid
+    (``np.ix_``) and returns values that broadcast over it.  n <= 3.
     """
-    n = len(box)
+    radii = [float(r) for r in box]
+    n = len(radii)
     if n < 1 or n > 3:
         raise DimensionError(f"box dimension {n} not supported (1 <= n <= 3)")
     nodes_used = 0
 
     def evaluate(m):
         nonlocal nodes_used
-        pts, weights = tensor_grid([CompositeRule(-float(r), float(r), 1, m) for r in box])
-        vals = np.asarray(integrand(pts))
-        nodes_used += pts.shape[0]
-        return np.sum(weights * vals)
+        x, w = _leggauss(m)
+        vals = np.broadcast_to(integrand(*np.ix_(*[r * x for r in radii])), (m,) * n)
+        nodes_used += m ** n
+        for r in reversed(radii):  # contract the last axis with its weights
+            vals = vals @ (r * w)
+        return vals
 
     value, err, _ = refine(evaluate, 16, max_points, abs_tol, "box rule",
                            "points per axis")

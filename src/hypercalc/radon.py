@@ -23,7 +23,7 @@ from .growth import GrowthClass
 from .hyper import Hyperfunction1D, TWO_PI_I
 from .odeseries import _is_exact
 from .quad import (CompositeRule, DimensionError, by_height, in_row_blocks,
-                   integrate_box, refine, tensor_grid)
+                   integrate_box, refine)
 
 __all__ = [
     "SmoothRapid", "PointSource", "DeltaCombo", "RadonSlice", "HomogeneousPoly",
@@ -64,13 +64,13 @@ class SmoothRapid:
         if not 1 <= self.dimension <= 3:
             raise DimensionError(f"dimension {self.dimension} not supported")
 
-    def __call__(self, pts):
-        """f at the (..., n) points ``pts``: float64 for real points, complex
-        for complex ones."""
-        pts = np.asarray(pts)
-        pts = pts.astype(complex if np.iscomplexobj(pts) else float, copy=False)
-        env = {f"x{i + 1}": pts[..., i] for i in range(self.dimension)}
-        return ex.evaluate(self.expr, env)
+    def __call__(self, *coords):
+        """f at per-axis coordinates, one array an axis, which broadcast
+        together (``f(*pts.T)`` for a list of points): float64 when all are
+        real, complex otherwise."""
+        dtype = complex if any(map(np.iscomplexobj, coords)) else float
+        return ex.evaluate(self.expr, {f"x{i + 1}": np.asarray(c, dtype=dtype)
+                                       for i, c in enumerate(coords)})
 
 
 @dataclass(frozen=True)
@@ -171,51 +171,51 @@ def _projected_terms(f: DeltaCombo, omega):
             yield adot, sum(alpha), c
 
 
-# f's points per projection block.  The points are real, so f runs in float64:
-# a block's coordinates take 4 MB in 2-D and each of f's temporaries 2 MB,
-# and the projection stays real up to the slice's Cauchy kernel or the ray's
-# exp_sum.  The Cauchy sums keep in_row_blocks' 2^15: 2^18 there too raised
-# `symbolic_pairing`'s peak RSS by 20%.
+# f's points per projection block: f runs in float64 on real points, 2 MB an
+# axis and a temporary, and the projection stays real up to the slice's
+# Cauchy sum or the ray's exp_sum.  The Cauchy sums keep in_row_blocks' 2^15:
+# 2^18 there too raised `symbolic_pairing`'s peak RSS by 20%.
 _PROJECTION_BLOCK = 1 << 18
+U_POINTS_CAP = 1 << 15  # u-points of a slice's or a ray's finest level
 
 
-def _weighted_projection(f: SmoothRapid, omega, degree: int, abs_tol: float):
-    """u_panels -> (rule, p(u)·w), memoized: p(u) integrates f over the plane
+def _weighted_projection(f: SmoothRapid, omega, abs_tol: float):
+    """u_points -> (rule, p(u)·w), memoized: p(u) integrates f over the plane
     omega.x = u, and (u, w) are the points and weights of ``rule``.
 
-    The transverse degree-8 panels are chosen once, by ``refine`` from 12 to
-    at most 48 panels on the 16-u-panel grid, whose finer pass is kept as
-    level 16; every level uses them, so no value depends on call order.
-    f is evaluated in blocks of u-points (``in_row_blocks``), so a fine
-    level's (u x transverse) grid is never held whole."""
+    Both integrals take the midpoint rule, which converges geometrically as
+    f is negligible at the box edge (Trefethen & Weideman, SIAM Review 56,
+    2014).  The transverse lattice is chosen once, by ``refine`` from 16 to
+    at most 512 points per axis on 128 u-points, kept as level 128; every
+    level uses it, so no value depends on call order.  f runs on per-axis
+    coordinates u omega_i + v_i in blocks of u-points (``in_row_blocks``)."""
     n = f.dimension
     extent = BOX_RADIUS * math.sqrt(n)
-    tangents = np.asarray(_orthonormal_frame(omega)[1:])  # (n-1, n)
-    levels, trans = {}, None
+    omega, *tangents = np.asarray(_orthonormal_frame(omega))
+    levels, across = {}, None
 
-    def project(u_panels, trans_panels):
-        rule = CompositeRule(-extent, extent, u_panels, degree)
-        if n == 1:
-            return rule, np.asarray(f(rule.points[:, None] * omega[0])) * rule.weights
-        vpts, vw = tensor_grid([CompositeRule(-extent, extent, trans_panels, 8)] * (n - 1))
-        plane = vpts @ tangents
+    def project(u_points, m):
+        rule, v = (CompositeRule(-extent, extent, k, 1) for k in (u_points, m))
+        # axis i of the plane: sum_k tangents[k][i] v_k over an open grid; 0 if n = 1
+        grid = np.ix_(*[v.points] * (n - 1))
+        plane = [np.ravel(sum((t[i] * g for t, g in zip(tangents, grid)), np.zeros(1)))
+                 for i in range(n)]
 
-        def rows(u):
-            pts = u[:, None, None] * np.asarray(omega) + plane
-            return np.asarray(f(pts.reshape(-1, n))).reshape(len(u), -1) @ vw
+        def rows(u):  # p(u) w, every midpoint weight being the same
+            vals = f(*[np.add.outer(u * o, p) for o, p in zip(omega, plane)])
+            return vals.sum(axis=1) * (v.weights[0] ** (n - 1) * rule.weights[0])
 
-        return rule, in_row_blocks(rows, rule.points, len(vw), _PROJECTION_BLOCK) \
-            * rule.weights
+        return rule, in_row_blocks(rows, rule.points, len(plane[0]), _PROJECTION_BLOCK)
 
-    def weighted(u_panels):
-        nonlocal trans
-        if trans is None:
-            pv, _, trans = refine(lambda t: project(16, t)[1], 12, 48, abs_tol,
-                                  "Radon projection", "transverse panels")
-            levels[16] = (CompositeRule(-extent, extent, 16, degree), pv)
-        if u_panels not in levels:
-            levels[u_panels] = project(u_panels, trans)
-        return levels[u_panels]
+    def weighted(u_points):
+        nonlocal across
+        if across is None:
+            pv, _, across = refine(lambda m: project(128, m)[1], 16, 512, abs_tol,
+                                   "Radon projection", "transverse points")
+            levels[128] = (CompositeRule(-extent, extent, 128, 1), pv)
+        if u_points not in levels:
+            levels[u_points] = project(u_points, across)
+        return levels[u_points]
 
     return weighted
 
@@ -239,24 +239,29 @@ def _delta_combo_slice(f: DeltaCombo, omega) -> Hyperfunction1D:
 
 def radon_transform(f: MultiDimFunction, omega, abs_tol: float = 1e-9) -> RadonSlice:
     """Slice hyperfunction of f in direction omega.  For a smooth f, G sums
-    the memoized projection over degree-16 u-panels and refines each height
-    from 16 u-panels on every call; past 2048 it raises ``ConvergenceError``."""
+    the memoized projection against 1 / (tau - u) = (d - i y) / (d^2 + y^2),
+    d = Re tau - u, in real arithmetic at each height y, and refines from
+    128 u-points on every call; past ``U_POINTS_CAP`` it raises."""
     omega = _check_unit(omega, f.dimension)
     if isinstance(f, DeltaCombo):
         return RadonSlice(omega=omega, hyper=_delta_combo_slice(f, omega),
                           label=f.label)
 
-    weighted = _weighted_projection(f, omega, 16, abs_tol)
+    weighted = _weighted_projection(f, omega, abs_tol)
 
     def at_height(taus, y):
-        def evaluate(u_panels):
-            rule, pv = weighted(u_panels)
-            return (-1.0 / TWO_PI_I) * in_row_blocks(
-                lambda block: (pv / (block[:, None] - rule.points)).sum(axis=1),
-                taus, len(pv))
+        def evaluate(u_points):
+            rule, pv = weighted(u_points)
 
-        return refine(evaluate, 16, 2048, abs_tol, f"Radon slice G at Im tau = {y:g}",
-                      "u-panels")[0]
+            def rows(x):
+                d = x[:, None] - rule.points
+                q = pv / (d * d + y * y)
+                return (q * d).sum(axis=1) - 1j * y * q.sum(axis=1)
+
+            return (-1.0 / TWO_PI_I) * in_row_blocks(rows, taus.real, len(pv))
+
+        return refine(evaluate, 128, U_POINTS_CAP, abs_tol,
+                      f"Radon slice G at Im tau = {y:g}", "u-points")[0]
 
     G = by_height(at_height)
     slice_hyper = Hyperfunction1D(
@@ -267,7 +272,8 @@ def radon_transform(f: MultiDimFunction, omega, abs_tol: float = 1e-9) -> RadonS
 
 def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
     """rho -> hat f(rho omega), the Fourier-slice ray: for a smooth f, exp
-    sums over its own memoized degree-8 projection, from 16·2^k u-panels."""
+    sums over its own memoized projection, from the least power of two of
+    u-points >= max(16, 2 extent peak / pi), a step below pi / peak."""
     omega = _check_unit(omega, f.dimension)
     if isinstance(f, DeltaCombo):
         terms = list(_projected_terms(f, omega))
@@ -288,22 +294,20 @@ def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
                               cheap=True, label=f"ray({f.label})", powers=tuple(powers))
 
     extent = BOX_RADIUS * math.sqrt(f.dimension)
-    weighted = _weighted_projection(f, omega, 8, 1e-10)
+    weighted = _weighted_projection(f, omega, 1e-10)
 
     def table(rhos):
         rhos = np.asarray(rhos, dtype=float)
         peak = max(1.0, float(np.max(np.abs(rhos))))
-        # a power-of-two multiple of 16, so tables of one ray share levels
-        start = 16
-        while start < 1.2 * extent * peak / math.pi:
-            start *= 2
+        # a power of two, so tables of one ray share levels
+        start = max(16, 1 << (math.ceil(2.0 * extent * peak / math.pi) - 1).bit_length())
 
-        def evaluate(u_panels):
-            rule, pv = weighted(u_panels)
+        def evaluate(u_points):
+            rule, pv = weighted(u_points)
             return rule.exp_sum(rhos, pv, -1j)
 
-        return refine(evaluate, start, 4096, 1e-10,
-                      f"Fourier ray table (|rho| up to {peak:g})", "u-panels")[0]
+        return refine(evaluate, start, U_POINTS_CAP, 1e-10,
+                      f"Fourier ray table (|rho| up to {peak:g})", "u-points")[0]
 
     def hat(rho, order=0):
         if order != 0:
@@ -347,15 +351,13 @@ def multidim_moment(f: MultiDimFunction, alpha):
                 total = total + term
         return total
 
-    def integrand(pts):
-        vals = np.asarray(f(pts))
-        for i, a in enumerate(alpha):
-            if a:
-                vals = vals * pts[:, i] ** a
+    def integrand(*x):
+        vals = f(*x)
+        for xi, a in zip(x, alpha):
+            vals = vals * xi ** a if a else vals
         return vals
 
-    res = integrate_box(integrand, [BOX_RADIUS] * f.dimension, abs_tol=1e-10)
-    return res.value
+    return integrate_box(integrand, [BOX_RADIUS] * f.dimension, abs_tol=1e-10).value
 
 
 def helgason_moment(f: MultiDimFunction, k: int) -> HomogeneousPoly:
@@ -383,12 +385,8 @@ def slice_moment(f: MultiDimFunction, omega, k: int):
     if isinstance(f, DeltaCombo):
         return _slice_moment_delta(f, omega, k)
 
-    def integrand(pts):
-        u = pts @ np.asarray(omega)
-        return np.asarray(f(pts)) * u ** k
-
-    res = integrate_box(integrand, [BOX_RADIUS] * f.dimension, abs_tol=1e-10)
-    return res.value
+    return integrate_box(lambda *x: f(*x) * sum(o * xi for o, xi in zip(omega, x)) ** k,
+                         [BOX_RADIUS] * f.dimension, abs_tol=1e-10).value
 
 
 def _slice_moment_delta(f: DeltaCombo, omega, k: int) -> complex:

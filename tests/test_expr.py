@@ -141,6 +141,35 @@ def test_grammar_rejects_with_an_offset_in_the_text(text):
     assert 1 <= exc.value.position <= len(text) + 1
 
 
+def test_long_chain_prints_and_parses_back():
+    chain = _Z
+    for _ in range(1999):
+        chain = ex.Add(chain, _Z)
+    text = ex.print_expr(chain)
+    assert text == "+".join(["z"] * 2000)
+    assert ex.parse_expr(text) is chain
+
+
+def _frames_down(depth, call):
+    return call() if depth == 0 else _frames_down(depth - 1, call)
+
+
+@pytest.mark.parametrize("terms", [999, 1500, 3000])
+def test_acceptance_does_not_depend_on_the_callers_stack(terms):
+    text = "+".join(["z"] * terms)
+
+    def outcome():
+        try:
+            return ex.parse_expr(text)
+        except ex.ParseError as exc:
+            return str(exc)
+
+    top = outcome()
+    assert _frames_down(600, outcome) == top
+    # CPython's own limit holds past 2984 terms, the same from any caller
+    assert isinstance(top, ex.Expr) == (terms < 3000)
+
+
 def test_unknown_identifier():
     with pytest.raises(ex.ParseError):
         ex.parse_expr("foo(z)")

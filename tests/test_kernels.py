@@ -28,7 +28,7 @@ def _random_t(rng, n):
     return np.concatenate([real, [3.0 + 0.3j, -7.5 + 0.3j, 1.5 - 0.3j, -12.0 - 0.3j]])
 
 
-@pytest.mark.parametrize("degree", [8, 10, 16])
+@pytest.mark.parametrize("degree", [1, 8, 10, 16])
 @pytest.mark.parametrize("panels", [1, 64, 1000, 4096])
 def test_exp_sum_matches_dense(degree, panels):
     rng = np.random.default_rng(degree * 10000 + panels)

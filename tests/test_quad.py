@@ -246,7 +246,7 @@ def test_gaussian_damped_corpus_meets_its_envelope(label, e, growth, strip):
 
 
 def test_integrate_box_gaussian_2d():
-    res = integrate_box(lambda pts: np.exp(-(pts ** 2).sum(axis=1)),
+    res = integrate_box(lambda x1, x2: np.exp(-(x1 ** 2 + x2 ** 2)),
                         [6.0, 6.0], abs_tol=1e-10)
     assert abs(res.value - math.pi) < 1e-9
 
@@ -260,9 +260,9 @@ def test_integrate_box_dimension_cap():
 def test_integrate_box_raises_at_point_cap():
     calls = []
 
-    def rough(pts):
-        calls.append(len(pts))
-        return np.abs(pts[:, 0]) ** 0.5  # derivative singular at 0
+    def rough(x1):
+        calls.append(len(x1))
+        return np.abs(x1) ** 0.5  # derivative singular at 0
 
     with pytest.raises(ConvergenceError, match="within 64 points per axis"):
         integrate_box(rough, [1.0], abs_tol=1e-14, max_points=64)
@@ -304,3 +304,11 @@ def test_verify_growth_rejects_wrong_claim():
     assert ok.passed
     bad = verify_growth(ex.parse_expr("z*z"), GrowthClass.tempered(-1.0))
     assert not bad.passed
+
+
+def test_integrate_box_broadcasts_an_integrand_free_of_an_axis():
+    # the open grid's x2 axis stays (1, m, 1): values constant along it
+    # broadcast over the box, so the middle axis contributes its length 2
+    res = integrate_box(lambda x1, x2, x3: np.exp(-(x1 ** 2 + x3 ** 2)),
+                        [6.0, 1.0, 6.0], abs_tol=1e-10)
+    assert abs(res.value - 2.0 * math.pi) < 1e-9

@@ -246,7 +246,7 @@ def test_radon_slice_direction_validation():
 def test_slice_G_raises_past_u_panel_cap():
     sl = rd.radon_transform(MD["gauss2"], (1.0, 0.0))
     start = time.perf_counter()
-    with pytest.raises(ConvergenceError, match="within 2048 u-panels"):
+    with pytest.raises(ConvergenceError, match="within 32768 u-points"):
         sl.hyper.f_plus(np.array([0.3 + 1e-4j]))
     assert time.perf_counter() - start < 5.0
 
@@ -254,13 +254,13 @@ def test_slice_G_raises_past_u_panel_cap():
 def test_slice_projection_raises_past_transverse_cap():
     sl = rd.radon_transform(MD["gauss2"], (1.0, 0.0), abs_tol=1e-30)
     start = time.perf_counter()
-    with pytest.raises(ConvergenceError, match="within 48 transverse panels"):
+    with pytest.raises(ConvergenceError, match="within 512 transverse points"):
         sl.hyper.f_plus(np.array([0.3 + 0.5j]))
     assert time.perf_counter() - start < 5.0
 
 
 def test_projection_near_the_axis_stays_small():
-    # 1024 u-panels x 192 transverse points, projected in blocks of u-points
+    # 8192 u-points x 64 transverse points, projected in blocks of u-points
     sl = rd.radon_transform(MD["gauss2"], (0.6, 0.8))
     tracemalloc.start()
     try:
@@ -329,13 +329,13 @@ def test_projected_delta_terms_agree_across_routes():
 def test_smooth_rapid_keeps_real_points_real():
     f = MD["skew_gauss2"]
     pts = np.array([[0.25, -0.5], [1.0, 2.0], [-1.5, 0.0]])
-    real = f(pts)
+    real = f(*pts.T)
     assert real.dtype == np.float64
-    cplx = f(pts.astype(complex))
+    cplx = f(*pts.astype(complex).T)
     assert cplx.dtype == np.complex128
     assert np.max(np.abs(real - cplx)) <= 4 * np.finfo(float).eps * np.max(np.abs(real))
     # the projection's weighted values stay real up to the Cauchy kernel
-    rule, pv = rd._weighted_projection(f, (0.6, 0.8), 16, 1e-9)(16)
+    rule, pv = rd._weighted_projection(f, (0.6, 0.8), 1e-9)(128)
     assert pv.dtype == np.float64 and pv.shape == rule.points.shape
 
 
@@ -350,3 +350,48 @@ def test_direction_of_another_dimension_is_rejected(label):
         with pytest.raises(ValueError, match="direction has 3 components, the "
                                              "input has dimension 2"):
             call()
+
+
+def _slice_pairing(label, omega, phi):
+    """int R f(omega, t) phi(t) dt by mpmath, from the slices of the corpus's
+    Gaussians: sqrt(pi) e^(-t^2) times 1, 1 + omega1 t or omega1 t."""
+    factor = {"gauss2": lambda t: 1, "skew_gauss2": lambda t: 1 + omega[0] * t,
+              "odd_gauss2": lambda t: omega[0] * t}[label]
+    test = {"gauss": lambda t: mp.exp(-t * t),
+            "affine_gauss": lambda t: (1 + t) * mp.exp(-t * t / 2)}[phi.label]
+    with mp.workdps(30):
+        return complex(mp.quad(lambda t: mp.sqrt(mp.pi) * mp.exp(-t * t) * factor(t)
+                               * test(t), [-mp.inf, 0, mp.inf]))
+
+
+@pytest.mark.parametrize("label", ["gauss2", "skew_gauss2", "odd_gauss2"])
+def test_slices_of_the_gaussians_match_mpmath(label):
+    phis = [phi for phi in SUITE if phi.label in ("gauss", "affine_gauss")]
+    for omega in ((0.6, 0.8), (1.0, 0.0), (-0.28, 0.96)):
+        direct = rd.radon_transform(MD[label], omega).hyper
+        via_ft = rd.radon_via_fourier(MD[label], omega)
+        for phi in phis:
+            want = _slice_pairing(label, omega, phi)
+            assert abs(hy.pair(direct, phi) - want) <= 1e-9, (omega, phi.label)
+            assert abs(hy.pair(via_ft, phi) - want) <= 1e-8, (omega, phi.label)
+
+
+@pytest.mark.parametrize("route", [lambda f, om: rd.radon_transform(f, om).hyper,
+                                   rd.radon_via_fourier], ids=["direct", "fourier"])
+def test_three_dimensional_gaussian_slice(route):
+    # every slice of e^(-|x|^2) in 3-D is pi e^(-t^2): against e^(-t^2), pi sqrt(pi/2)
+    f = rd.SmoothRapid(ex.parse_expr("exp(-(x1*x1+x2*x2+x3*x3))"), dimension=3)
+    start = time.perf_counter()
+    got = hy.pair(route(f, (2 / 7, 3 / 7, 6 / 7)), SUITE[0])
+    assert time.perf_counter() - start < 2.0
+    assert abs(got - math.pi * math.sqrt(math.pi / 2.0)) <= 1e-9
+
+
+def test_one_dimensional_routes_and_moments():
+    # in 1-D the slice in direction -1 is f(-t) = e^(-(t + 1/2)^2)
+    f = rd.SmoothRapid(ex.parse_expr("exp(-(x1-0.5)*(x1-0.5))"), dimension=1)
+    want = math.sqrt(math.pi / 2.0) * math.exp(-0.125)
+    assert abs(hy.pair(rd.radon_transform(f, (-1.0,)).hyper, SUITE[0]) - want) <= 1e-9
+    assert abs(hy.pair(rd.radon_via_fourier(f, (-1.0,)), SUITE[0]) - want) <= 1e-8
+    assert abs(rd.helgason_moment(f, 1)((1.0,)) - 0.5 * math.sqrt(math.pi)) <= 1e-10
+    assert abs(rd.slice_moment(f, (-1.0,), 1) + 0.5 * math.sqrt(math.pi)) <= 1e-10
