@@ -6,13 +6,16 @@ subcommand) and the options it reads with their defaults; OPTIONS gives each
 option its parser.  Flags and config-file values go through the same parsers.
 Reports are emitted both as a human-readable table on stdout and as
 machine-readable JSON + CSV files.  Fixed seed and config imply byte-identical
-reports.  Exit codes: 0 success, 1 acceptance/check failure, 2 usage or
-validation error (unknown option or key, malformed value).
+reports.  Exit codes: 0 success; 1 acceptance/check failure or a computation
+that fails (no convergence, no formal solution, overflow); 2 usage or
+validation error (unknown option or key, malformed or non-finite value, an
+input outside the operation's domain).  An error is one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -66,7 +69,7 @@ def _parser(what, types, cast=lambda v: v, ok=lambda x: True):
                 x = cast(v)
                 if ok(x):
                     return x
-            except (ValueError, ex.ExprError):
+            except (ValueError, OverflowError, ex.ExprError):
                 pass
         raise UsageError(f"expected {what}, got {v!r}")
     return parse
@@ -88,16 +91,17 @@ def _count_to(cap):
 _NUMERIC = (str, int, float)
 _text = _parser("a string", str)
 _flag = _parser("true or false", bool)
-_number = _parser("a number", _NUMERIC, float)
-_positive = _parser("a positive number", _NUMERIC, float, lambda x: x > 0)
+_number = _parser("a finite number", _NUMERIC, float, math.isfinite)
+_positive = _parser("a positive number", _NUMERIC, float, lambda x: 0 < x < math.inf)
 _count = _parser("a nonnegative integer", (str, int), int, lambda n: n >= 0)
 _positive_count = _parser("a positive integer", (str, int), int, lambda n: n >= 1)
 # a list keeps JSON numbers as given; text is read as floats
-_reals = _list_of(_parser("a number", _NUMERIC,
-                          lambda v: float(v) if isinstance(v, str) else v))
+_reals = _list_of(_parser("a finite number", _NUMERIC,
+                          lambda v: float(v) if isinstance(v, str) else v, math.isfinite))
+_positive_reals = _list_of(_positive)
 _direction = _parser("a comma-separated unit vector", (str, list), _reals,
                      lambda v: abs(math.sqrt(sum(w * w for w in v)) - 1.0) <= 1e-12)
-_complexes = _list_of(_parser("a complex number", _NUMERIC, complex))
+_complexes = _list_of(_parser("a finite complex number", _NUMERIC, complex, cmath.isfinite))
 _bound = _parser("two numbers M,R", (str, list), _list_of(_number),
                  lambda b: len(b) == 2)
 _expression = _parser("an expression in z", str,
@@ -285,13 +289,11 @@ def cmd_invfourier(opts: Options, rep: Report):
     text = opts["field"]
     g_expr = ex.parse_expr(text)
 
-    def g(xi, order=0):
-        if order:
-            raise NotImplementedError
+    def g(xi):
         return ex.evaluate(g_expr, {"z": np.asarray(xi, dtype=complex)})
 
-    fld = sp.SmoothField(g, growth=GrowthClass.exp_decay(
-        opts["rate"], constant=opts["constant"]), cheap=True, label=text)
+    fld = sp.SmoothField(sp.order0(g), growth=GrowthClass.exp_decay(
+        opts["rate"], constant=opts["constant"]), label=text)
     f = sp.inverse_fourier(fld, label=f"invF({text})")
     rows = []
     for phi in cp.test_suite()[:2]:
@@ -524,7 +526,7 @@ OPTIONS = {  # option -> (parser, help)
     "radius": (_positive, "contour truncation radius; none means automatic"),
     "abs_tol": (_positive, "absolute tolerance of the pairing quadrature"),
     "order": (_count, "truncation order"),
-    "lambdas": (_reals, "comma-separated scale factors"),
+    "lambdas": (_positive_reals, "comma-separated scale factors"),
     "xi": (_reals, "comma-separated frequencies"),
     "field": (_expression, "Fourier-side field, an expression in z"),
     "rate": (_positive, "exponential decay rate of the field"),
@@ -688,10 +690,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         rep = Report(command)
         SUBCOMMANDS[command].handler(opts, rep)
         rep.emit(opts["output"])
-    except UsageError as exc:
+    except (UsageError, hy.AdmissibilityError) as exc:  # outside the domain
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
+    except (ConvergenceError, od.RecurrenceError, OverflowError) as exc:  # failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1 if rep.failed else 0

@@ -498,13 +498,10 @@ def apply_local_operator(op: LocalOperator, f: Hyperfunction1D) -> Hyperfunction
     from . import spectral
 
     field_hat = spectral.fourier_transform(f)
-    multiplied = spectral.SmoothField(
-        lambda xi, order=0: _require_order0(order) or op.symbol(xi) * field_hat(xi),
-        growth=GrowthClass.infra_exponential())
+
+    def product(xi):
+        return op.symbol(xi) * field_hat(xi)
+
+    multiplied = spectral.SmoothField(spectral.order0(product), table=product,
+                                      growth=GrowthClass.infra_exponential())
     return spectral.inverse_fourier(multiplied, label=f"{op.label or 'J'}({f.label})")
-
-
-def _require_order0(order):
-    if order != 0:
-        raise NotImplementedError("multiplied fields expose only order 0")
-    return None

@@ -259,9 +259,9 @@ def adaptive_interval(f, a, b, abs_tol, what: str = "integral",
     takes the 21 nodes of the Gauss-Kronrod rule: its value is the Kronrod
     sum K21 and its error |K21 - G10|, G10 the Gauss rule on the 10 Gauss
     nodes among them.  A round evaluates all its new panels in one call of
-    f.  Stops when the summed error is at most ``abs_tol``; raises
-    ``ConvergenceError`` before a round would take the bisections past
-    ``SUBDIVISION_CAP``.
+    f, whose scalar result stands for every node.  Stops when the summed
+    error is at most ``abs_tol``; raises ``ConvergenceError`` before a round
+    would take the bisections past ``SUBDIVISION_CAP``.
     Returns a ``QuadResult`` summed over the panels in x order.
     """
     edges = np.array(sorted({float(a), float(b), *[p for p in breakpoints if a < p < b]}))
@@ -270,8 +270,9 @@ def adaptive_interval(f, a, b, abs_tol, what: str = "integral",
     nodes = splits = 0
     while True:
         mid, half = 0.5 * (new_lo + new_hi), 0.5 * (new_hi - new_lo)
-        y = np.asarray(f((mid[:, None] + half[:, None] * _XK).ravel()))
-        y = y.reshape(len(mid), len(_XK))
+        x = mid[:, None] + half[:, None] * _XK
+        y = np.asarray(f(x.ravel()))
+        y = np.full(x.shape, y) if y.ndim == 0 else y.reshape(x.shape)
         high = half * (_WK * y).sum(axis=1)
         low = half * (_WG * y[:, 1::2]).sum(axis=1)
         nodes += y.size

@@ -271,27 +271,14 @@ def radon_transform(f: MultiDimFunction, omega, abs_tol: float = 1e-9) -> RadonS
 
 
 def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
-    """rho -> hat f(rho omega), the Fourier-slice ray: for a smooth f, exp
-    sums over its own memoized projection, from the least power of two of
-    u-points >= max(16, 2 extent peak / pi), a step below pi / peak."""
+    """rho -> hat f(rho omega), the Fourier-slice ray: for a delta
+    combination the closed form of ``spectral.delta_sum_field`` over its
+    projected terms; for a smooth f, exp sums over its own memoized
+    projection, from the least power of two of u-points >= max(16, 2 extent
+    peak / pi), a step below pi / peak."""
     omega = _check_unit(omega, f.dimension)
     if isinstance(f, DeltaCombo):
-        terms = list(_projected_terms(f, omega))
-        powers = [0.0] * (max(m for _, m, _ in terms) + 1)
-        for _, m, c in terms:  # |hat(rho)| <= sum_m powers[m] |rho|^m
-            powers[m] += abs(c)
-
-        def hat(rho, order=0):
-            if order != 0:
-                raise NotImplementedError("ray fields expose only order 0")
-            rho = np.asarray(rho, dtype=float)
-            total = np.zeros(np.shape(rho), dtype=complex)
-            for adot, m, c in terms:
-                total = total + c * (1j * rho) ** m * np.exp(-1j * rho * adot)
-            return total
-
-        return sp.SmoothField(hat, growth=GrowthClass.infra_exponential(),
-                              cheap=True, label=f"ray({f.label})", powers=tuple(powers))
+        return sp.delta_sum_field(_projected_terms(f, omega), f"ray({f.label})")
 
     extent = BOX_RADIUS * math.sqrt(f.dimension)
     weighted = _weighted_projection(f, omega, 1e-10)
@@ -309,17 +296,11 @@ def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
         return refine(evaluate, start, U_POINTS_CAP, 1e-10,
                       f"Fourier ray table (|rho| up to {peak:g})", "u-points")[0]
 
-    def hat(rho, order=0):
-        if order != 0:
-            raise NotImplementedError("ray fields expose only order 0")
-        arr = np.asarray(rho, dtype=float)
-        return table(np.atleast_1d(arr))[0] if not arr.ndim else table(arr)
-
     v0, v4, v8 = np.abs(table(np.array([0.0, 4.0, 8.0])))
     rate = 0.25
     if v4 > 1e-300 and v8 > 1e-300:
         rate = max(0.05, min(2.0, math.log(v4 / v8) / 4.0))
-    return sp.SmoothField(hat, table=table, label=f"ray({f.label})",
+    return sp.SmoothField(sp.order0(table), table=table, label=f"ray({f.label})",
                           growth=GrowthClass.exp_decay(rate, constant=10.0 * (v0 + 1.0)))
 
 
@@ -596,12 +577,13 @@ def support_check(moments, S: float, eps_list: Sequence[float] = (1e-3, 0.1, 0.5
             M, R = bound
             tail = M * _exp_remainder(R * math.pi * q / S, len(values)) / (2.0 * S)
         sums.append((q, abs(total), tail))
-    scale = max(1e-300, max(v for _, v, _ in sums))
+    scale = max([1e-300] + [v for _, v, _ in sums])
     usable = [(q, v) for q, v, t in sums if t <= 1e-8 * max(v, 1e-3 * scale)]
     if len(usable) < 5:
         raise ValueError(
-            "certified truncation tails dominate the series on this q range; "
-            "supply more moments or reduce q_max")
+            f"certified truncation tails dominate the series on this q range, or it "
+            f"is too short: {len(usable)} of q <= {q_max} are usable and the rate fit "
+            f"needs 5; supply more moments or change q_max")
     qs = np.array([q for q, _ in usable], dtype=float)
     vals = np.log(np.array([max(v, 1e-300) for _, v in usable]))
     coefs = np.polyfit(qs, vals, 1)

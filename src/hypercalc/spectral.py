@@ -2,13 +2,17 @@
 
 The Fourier transform of an asymptotic hyperfunction is an infra-exponential
 smooth function, computed here by contour pairing against e^(-i z xi), or in
-closed form from the Laurent coefficients when the input is delta-like.
-Transforms and their derivatives come from one batched composite-rule
-evaluator: a scalar xi is a batch of one, and derivative order k inserts
-(-i z)^k into the integrand, never differencing.  Transforms, inverse
-branches and the structural f0 evaluate their exp(+-i t x) sums over
-composite Gauss-Legendre grids with the factored kernel
-``quad.CompositeRule.exp_sum``.
+closed form when the input is delta-like: its Laurent coefficients give the
+(point, order, coefficient) terms of a sum of delta derivatives, whose
+transform ``delta_sum_field`` builds.  A field computed by quadrature carries
+a batch ``table``, which is also its evaluator; the inverse transform samples
+such a field once and never extrapolates it, and evaluates any other field
+where it is needed.  Quadrature transforms and their derivatives come from
+one batched composite-rule evaluator: a scalar xi is a batch of one, and
+derivative order k inserts (-i z)^k into the integrand, never differencing.
+Transforms, inverse branches and the structural f0 evaluate their
+exp(+-i t x) sums over composite Gauss-Legendre grids with the factored
+kernel ``quad.CompositeRule.exp_sum``.
 
 The interpolation and special functions here are numpy code.  A tabulated
 field is the not-a-knot cubic spline on 2048 uniform knots: its knot slopes
@@ -39,7 +43,7 @@ from .quad import (CompositeRule, ConvergenceError, _upper_gamma, adaptive_inter
                    by_height, refine, auto_radius as quad_auto_radius)
 
 __all__ = [
-    "SmoothField", "AsymptoticSum", "fourier_transform",
+    "SmoothField", "order0", "delta_sum_field", "AsymptoticSum", "fourier_transform",
     "inverse_fourier", "moment", "asymptotic_sum", "parametric_order_check",
     "realize_moments", "build_multiplier",
     "structural_representation",
@@ -104,14 +108,24 @@ def _spline_coefficients(lo: float, hi: float, values) -> np.ndarray:
     return np.stack([t / h, (chord - slope[:-1]) / h - t, slope[:-1], y[:-1]])
 
 
+def order0(fn: Callable) -> Callable:
+    """(xi, order) -> fn(xi) for a field known only at order 0."""
+    def evaluator(xi, order=0):
+        if order:
+            raise NotImplementedError("this field exposes only order 0")
+        return fn(xi)
+
+    return evaluator
+
+
 @dataclass(frozen=True)
 class SmoothField:
-    """Evaluator xi -> complex, with the derivative orders it supports."""
+    """Evaluator xi -> complex, with the derivative orders it supports; a
+    field computed by quadrature has a ``table``, a closed form has none."""
 
     evaluator: Callable  # (xi, order) -> complex / array
     growth: GrowthClass = GrowthClass.infra_exponential()
     label: str = ""
-    cheap: bool = False  # True when evaluation is closed-form, not quadrature
     table: Optional[Callable] = None  # vectorized evaluation on a batch of xi
     # b_m of a certified envelope |g(xi)| <= sum_m b_m |xi|^m, which then sets
     # the inverse transform's cutoff in place of the growth constant
@@ -121,16 +135,18 @@ class SmoothField:
         return self.evaluator(xi, order)
 
     def tabulate(self, lo: float, hi: float) -> "SmoothField":
-        """Order-0 copy backed by a cubic spline on [lo, hi], constant beyond."""
+        """Order-0 copy backed by a cubic spline on [lo, hi]; it raises
+        ``ValueError`` for any xi outside."""
         grid = np.linspace(lo, hi, _TABLE_KNOTS)
         coef = _spline_coefficients(lo, hi, self.evaluator(grid, 0))
         re, im = np.ascontiguousarray(coef.real), np.ascontiguousarray(coef.imag)
         h = (hi - lo) / (_TABLE_KNOTS - 1)
 
-        def evaluator(xi, order=0):
-            if order:
-                raise NotImplementedError("tabulated fields expose only order 0")
-            x = np.clip(np.ravel(np.real(xi)), lo, hi)
+        def spline(xi):
+            x = np.ravel(np.real(xi))
+            if x.size and not (lo <= x.min() and x.max() <= hi):  # NaN fails too
+                raise ValueError(f"tabulated field {self.label!r} is known on "
+                                 f"[{lo:g}, {hi:g}] only")
             out = np.empty(len(x), dtype=complex)
             for start in range(0, len(x), _TABLE_BLOCK):
                 xb = x[start:start + _TABLE_BLOCK]
@@ -145,8 +161,7 @@ class SmoothField:
                     part[start:start + _TABLE_BLOCK] = acc
             return out.reshape(np.shape(xi))
 
-        return SmoothField(evaluator, growth=self.growth, label=f"tab({self.label})",
-                           cheap=True)
+        return SmoothField(order0(spline), growth=self.growth, label=f"tab({self.label})")
 
 
 @dataclass(frozen=True)
@@ -194,35 +209,33 @@ def _laurent_coefficients(f: Hyperfunction1D):
     return x0, np.trim_zeros(np.where(np.abs(scaled) > 1.0, scaled * floor, 0.0), "b")
 
 
-def _delta_like_hat(f: Hyperfunction1D):
-    """Closed-form transform: hat f(xi) = -2 pi i Res(F(z) (-iz)^q e^(-iz xi)),
-    and the b_m of |hat f(xi)| <= sum_m b_m |xi|^m, b_m = 2 pi |a_(m+1)| / m!.
-
-    The residue is sum_l a_(l+1) T_l, T_l the l-th Taylor coefficient of
-    (-iz)^q e^(-iz xi) at x0, i.e. e^(-i x0 xi) sum_j D_j (-i xi)^(l-j) /
-    (j! (l-j)!) with D_j the j-th derivative of (-iz)^q at x0.  Grouped by
-    j, each inner sum is one polynomial in -i xi, evaluated by Horner.
+def delta_sum_field(terms, label: str) -> SmoothField:
+    """Closed-form transform of sum c delta^(m)(x - a) over (a, m, c) terms:
+    hat(xi) = sum c (i xi)^m e^(-i a xi), one polynomial in i xi per point a,
+    and its derivative of order q by Leibniz's rule.  Its ``powers`` are
+    b_m = sum |c| over the terms of order m, so |hat(xi)| <= sum_m b_m |xi|^m.
     """
-    x0, a = _laurent_coefficients(f)
-    M = len(a)
-    inv_fact = np.array([1.0 / math.factorial(n) for n in range(M)])
+    polys, powers = {}, []
+    for a, m, c in terms:
+        for row, v in ((polys.setdefault(a, []), c), (powers, abs(c))):
+            row.extend([0] * (m + 1 - len(row)))
+            row[m] += v
+    polys = {a: np.array(p, dtype=complex) for a, p in polys.items()}
+    P = np.polynomial.polynomial
 
     def hat(xi, order=0):
         xi = np.asarray(xi, dtype=float)
-        q = order
-        w = -1j * xi
-        total = np.zeros(np.shape(xi), dtype=complex)
-        for j in range(min(q, M - 1) + 1):
-            poly = (-1j) ** q * math.factorial(q) / math.factorial(q - j) * x0 ** (q - j)
-            if poly == 0:
-                continue
-            total = total + poly / math.factorial(j) * np.polynomial.polynomial.polyval(
-                w, a[j:] * inv_fact[:M - j])
-        if x0 != 0:
-            total = total * np.exp(-1j * x0 * xi)
-        return -TWO_PI_I * total
+        total = np.zeros(xi.shape, dtype=complex)
+        for a, p in polys.items():
+            # the q-th derivative of P(i xi) e^(-i a xi) is
+            # sum_j C(q, j) i^j P^(j)(i xi) (-i a)^(q-j) e^(-i a xi)
+            part = sum(math.comb(order, j) * 1j ** j * (-1j * a) ** (order - j)
+                       * P.polyval(1j * xi, P.polyder(p, j))
+                       for j in (range(order + 1) if a else (order,)) if j < len(p))
+            total = total + (part * np.exp(-1j * a * xi) if a else part)
+        return total
 
-    return hat, tuple(2.0 * math.pi * np.abs(a) * inv_fact)
+    return SmoothField(hat, label=label, powers=tuple(powers))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +249,9 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
             "fourier_transform accepts asymptotic inputs only; tempered "
             "transforms are finite-order distributions, out of numeric scope")
     if f.is_delta_like:
-        hat, powers = _delta_like_hat(f)
-        return SmoothField(hat, label=f"ft({f.label})", cheap=True, powers=powers)
+        x0, a = _laurent_coefficients(f)  # a[n] = a_(n+1) gives the delta^(n) term
+        return delta_sum_field([(x0, n, -TWO_PI_I * (-1) ** n * a[n] / math.factorial(n))
+                                for n in range(len(a))], f"ft({f.label})")
 
     eta = 0.4 * min(f.strip, 1.0)
     # One vanishing branch means f continues across the axis, so each
@@ -249,17 +263,14 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
     minus_zero = isinstance(f.f_minus, ex.Expr) and ex._is_const(ex.simplify(f.f_minus), 0)
     one_sided = plus_zero or minus_zero
 
-    def radius_for(order):
-        growth, weight = hy._combined_tail(f, GrowthClass.tempered(float(order)))
-        return quad_auto_radius(growth, 1e-11, weight)
-
     def table(xis, order=0):
         """hat f^(order) on one shared oscillation-resolving grid for a whole
         batch of xi; the derivative order is the factor (-iz)^order of both
         branch amplitudes."""
         xis = np.asarray(xis, dtype=float)
         xi_peak = max(1.0, float(np.max(np.abs(xis))))
-        radius = radius_for(order)
+        growth, weight = hy._combined_tail(f, GrowthClass.tempered(float(order)))
+        radius = quad_auto_radius(growth, 1e-11, weight)
         flat = xis.ravel()
         groups = ([(flat > 0, -eta, -eta), (flat <= 0, eta, eta)]
                   if one_sided else [(np.ones(flat.shape, bool), eta, -eta)])
@@ -289,19 +300,15 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
                 res[mask] = sum(np.exp(sub * s) * row for s, row in zip(shifts, sums))
             return res.reshape(xis.shape)
 
-        start = max(64, int(radius * xi_peak / math.pi) + 1)
-        return refine(evaluate, start, 1 << 16, 1e-10,
+        cap = 1 << 16
+        start = max(64, int(min(radius * xi_peak / math.pi, cap)) + 1)  # past cap: raise
+        return refine(evaluate, start, cap, 1e-10,
                       f"Fourier table (|xi| up to {xi_peak:g})")[0]
 
-    def hat(xi, order=0):
-        if np.ndim(xi):
-            return table(xi, order)
-        return complex(table(np.array([float(xi)]), order)[0])
-
-    scale = abs(hat(0.0)) + 1.0
+    scale = abs(complex(table(0.0))) + 1.0
     growth = (GrowthClass.exp_decay(eta, constant=10.0 * scale) if one_sided
               else GrowthClass.infra_exponential(constant=10.0 * scale))
-    return SmoothField(hat, label=f"ft({f.label})", table=table, growth=growth)
+    return SmoothField(table, label=f"ft({f.label})", table=table, growth=growth)
 
 
 def inverse_fourier(g: SmoothField, label: str = "",
@@ -316,12 +323,11 @@ def inverse_fourier(g: SmoothField, label: str = "",
     A field with ``powers`` b_m takes the smallest X, to a relative 1e-3,
     whose tail (1/2 pi) sum_m b_m Gamma(m+1, rate X) / rate^(m+1) is at most
     abs_tol * 1e-2; any other field the X where its growth constant times
-    e^(-rate X) is.
+    e^(-rate X) is.  A field with a ``table`` is sampled once, into a spline
+    on [-X0, X0] with X0 the cutoff at height 0.05, and never extrapolated:
+    a branch whose cutoff passes X0 raises ``ConvergenceError``.
     """
-    if g.growth.kind == "exp_decay":
-        base_rate = g.growth.rate
-    else:
-        base_rate = 0.0
+    base_rate = g.growth.rate if g.growth.kind == "exp_decay" else 0.0
 
     def power_tail(x, rate):
         return sum(b * _upper_gamma(m + 1.0, rate * x) / rate ** (m + 1)
@@ -343,8 +349,8 @@ def inverse_fourier(g: SmoothField, label: str = "",
             lo, hi = (lo, mid) if power_tail(mid, rate) <= target else (mid, hi)
         return hi
 
-    gg = g
-    if not g.cheap:
+    gg, X0 = g, math.inf
+    if g.table is not None:
         X0 = xi_cutoff(0.05)
         gg = g.tabulate(-X0, X0)
 
@@ -354,6 +360,10 @@ def inverse_fourier(g: SmoothField, label: str = "",
             if eta <= 0:
                 raise ValueError("branch evaluated on the wrong side of the axis")
             X = xi_cutoff(eta)
+            if X > X0:
+                raise ConvergenceError(
+                    f"inverse Fourier branch at Im z = {y:g} needs |xi| up to {X:g}, "
+                    f"past the cutoff {X0:g} of its table of {g.label or 'g'}")
             xmax = float(np.max(np.abs(zs.real)))
             lo, hi = (0.0, X) if sign > 0 else (-X, 0.0)
 
@@ -522,15 +532,21 @@ def build_multiplier(phi_table: Callable[[float], float],
     if K_terms is None:
         K_terms = 1
         while K_terms < _MULTIPLIER_CAP:
-            m = K_terms * phi_table(float(K_terms))
-            if (zeta_max / m) ** 2 <= _MULTIPLIER_TARGET:
+            r = zeta_max / (K_terms * phi_table(float(K_terms)))
+            if r * r <= _MULTIPLIER_TARGET:  # r ** 2 would raise on overflow
                 break
             K_terms += max(1, K_terms // 8)
     if K_terms < 1:
         raise ValueError("K_terms must be >= 1")
-    tail_ratio = (zeta_max / (K_terms * phi_table(float(K_terms)))) ** 2
+    r = zeta_max / (K_terms * phi_table(float(K_terms)))
+    tail_ratio = r * r
     ms = np.array([k * phi_table(float(k)) for k in range(1, K_terms + 1)])
     inv_m2 = 1.0 / ms ** 2
+    # |1 + zeta^2 / m^2| <= 1 + |zeta|^2 / m^2, so J(zeta_max) bounds every sample
+    log_peak = float(np.logaddexp(0.0, 2.0 * (math.log(zeta_max) - np.log(ms))).sum())
+    if log_peak > math.log(np.finfo(float).max):
+        raise OverflowError(f"|J(zeta)| reaches e^{log_peak:.4g} for |zeta| <= "
+                            f"{zeta_max:g}, past double precision")
 
     def symbol(zeta):
         z2 = np.asarray(zeta) ** 2

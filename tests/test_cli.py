@@ -204,6 +204,31 @@ def test_unknown_keys_and_malformed_values_exit_2(tmp_path, capsys, command,
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["fourier", "--label", "lorentz"], 2, "accepts asymptotic inputs only"),
+    (["param-check", "--lambdas", "0"], 2, "lambdas: expected a positive number, got '0'"),
+    (["fourier", "--xi", "inf"], 2, "xi: expected a finite number, got 'inf'"),
+    (["fourier", "--xi", "nan"], 2, "xi: expected a finite number, got 'nan'"),
+    (["support-check", "--q-max", "0"], 2, "0 of q <= 0 are usable"),
+    (["ode-solve", "--op", "D"], 1, "no formal solution"),
+    (["fourier", "--xi", "1e308"], 1, "Fourier table (|xi| up to 1e+308) did not reach"),
+    (["multiplier", "--zeta-max", "1e9"], 1, "past double precision"),
+])
+def test_inputs_outside_a_domain_end_in_one_error_line(tmp_path, capsys, argv, code,
+                                                       message):
+    # exit 2 for an input outside the option's or the operation's domain,
+    # exit 1 for a computation that fails
+    assert run(argv, tmp_path)[0] == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_realize_of_zero_moments_exits_0(tmp_path):
+    code, out = run(["realize", "--moments", "0,0,0"], tmp_path)
+    assert code == 0
+    assert json.loads((out / "realize.json").read_text())["max_moment_error"] == 0.0
+
+
 def test_field_past_cpython_nesting_limit_exits_2(tmp_path, capsys):
     field = "(" * 300 + "z" + ")" * 300
     code, _ = run(["invfourier", "--field", field], tmp_path)

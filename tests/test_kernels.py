@@ -153,7 +153,7 @@ def test_fourier_table_raises_past_panel_cap():
 
 def test_inverse_branch_raises_when_tolerance_unreachable():
     g = sp.SmoothField(lambda xi, order=0: np.exp(-np.asarray(xi) ** 2),
-                       growth=GrowthClass.exp_decay(1.0, constant=1.0), cheap=True)
+                       growth=GrowthClass.exp_decay(1.0, constant=1.0),)
     h = sp.inverse_fourier(g, abs_tol=1e-30)
     with pytest.raises(ConvergenceError):
         h.f_plus(np.array([0.5 + 0.5j, -1.0 + 0.5j, 2.0 + 0.7j]))

@@ -34,6 +34,12 @@ def test_adaptive_interval_gaussian():
     assert err < 1e-10
 
 
+def test_adaptive_interval_takes_a_constant_integrand():
+    # an integrand free of x may return one scalar for the whole node array
+    assert tuple(adaptive_interval(lambda x: 2.0, -1.0, 1.0, 1e-10)) == (4.0, 0.0, 21)
+    assert adaptive_interval(lambda x: 0j, 0.0, 3.0, 1e-10).value == 0
+
+
 def test_adaptive_interval_oscillatory():
     val, _, _ = adaptive_interval(lambda x: np.exp(-x * x) * np.cos(10 * x),
                                   -8.0, 8.0, abs_tol=1e-12)

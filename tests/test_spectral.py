@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import hypercalc.cli as cli
 import hypercalc.corpus as cp
 import hypercalc.expr as ex
 import hypercalc.hyper as hy
+import hypercalc.radon as rd
 import hypercalc.spectral as sp
 from hypercalc.growth import GrowthClass
 from hypercalc.quad import ConvergenceError
@@ -157,7 +159,7 @@ def test_delta_like_round_trip_branch_meets_abs_tol(label):
 def test_inverse_fourier_of_one_is_delta():
     fld = sp.SmoothField(lambda xi, order=0: np.ones_like(np.asarray(xi,
                                                                      dtype=complex)),
-                         growth=GrowthClass.infra_exponential(), cheap=True)
+                         growth=GrowthClass.infra_exponential(),)
     f = sp.inverse_fourier(fld)
     phi = SUITE[0]
     assert abs(hy.pair(f, phi) - phi.derivative_at(0.0, 0)) < 1e-8
@@ -299,8 +301,10 @@ def test_tabulated_field_reproduces_a_cubic():
     x = np.random.default_rng(3).uniform(-3.0, 5.0, 20000)  # several evaluation blocks
     scale = np.max(np.abs(_cubic(x)))
     assert np.max(np.abs(tab(x) - _cubic(x))) <= 1e-13 * scale
-    # constant beyond the knots, and order 0 only
-    assert tab(7.5) == tab(5.0) and tab(-4.0) == tab(-3.0)
+    # never extrapolated past the knots, and order 0 only
+    for outside in (7.5, -4.0, np.array([0.0, 5.0 + 1e-9])):
+        with pytest.raises(ValueError, match="known on"):
+            tab(outside)
     with pytest.raises(NotImplementedError):
         tab(0.0, 1)
 
@@ -320,3 +324,98 @@ def test_spline_interpolates_is_c2_and_not_a_knot():
     assert abs(c3[0] - c3[1]) <= 1e-13 * scale
     assert abs(c3[-2] - c3[-1]) <= 1e-13 * scale
     assert abs(c3[1] - c3[2]) > 1e-3  # and generally not at the others
+
+
+@pytest.mark.parametrize("sampled", [True, False])
+def test_inverse_fourier_samples_a_field_once_exactly_when_it_has_a_table(sampled):
+    seen = []
+
+    def gauss(xi):
+        seen.append(np.array(xi, dtype=float))
+        return np.exp(-np.asarray(xi) ** 2)
+
+    g = sp.SmoothField(sp.order0(gauss), table=gauss if sampled else None,
+                       growth=GrowthClass.exp_decay(1.0, constant=1.0))
+    f = sp.inverse_fourier(g)
+    assert len(seen) == (1 if sampled else 0)
+    # the inverse transform of e^(-xi^2) is e^(-x^2/4) / (2 sqrt pi)
+    assert abs(hy.pair(f, SUITE[0]) - 1.0 / math.sqrt(5.0)) <= 1e-9
+    if sampled:  # the knots, once, and never again
+        assert len(seen) == 1 and len(seen[0]) == sp._TABLE_KNOTS
+        assert seen[0][0] == -seen[0][-1] < 0
+    else:  # only the branches' half-lines, never a grid across 0
+        assert seen and all(np.all(x >= 0) or np.all(x <= 0) for x in seen)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _field_handed_to_inverse_fourier(monkeypatch, build):
+    fields = []
+
+    def capture(g, *args, **kwargs):
+        fields.append(g)
+        raise _Captured
+
+    monkeypatch.setattr(sp, "inverse_fourier", capture)
+    with pytest.raises(_Captured):
+        build()
+    return fields[0]
+
+
+def _bessel_operator():
+    return hy.LocalOperator(
+        coefficients=(1.0,),
+        tail=lambda n: 1.0 / (math.factorial(n + 1) * math.factorial(n)), label="J")
+
+
+@pytest.mark.parametrize("name", ["tabulated", "smooth ray", "J(D) product", "cli field"])
+def test_order0_fields_raise_at_order_1(monkeypatch, name):
+    if name == "tabulated":
+        field = sp.SmoothField(lambda xi, order: _cubic(np.asarray(xi))).tabulate(-1.0, 1.0)
+    elif name == "smooth ray":
+        field = rd.multidim_fourier_ray(cp.multidim_corpus()["gauss2"], (0.6, 0.8))
+    elif name == "J(D) product":
+        field = _field_handed_to_inverse_fourier(monkeypatch, lambda: hy.apply_local_operator(
+            _bessel_operator(), CORPUS["sech"]))
+    else:
+        field = _field_handed_to_inverse_fourier(monkeypatch, lambda: cli.cmd_invfourier(
+            cli.resolve_options("invfourier", {}), cli.Report("invfourier")))
+    # quadrature fields are sampled; closed forms and tables of them are not
+    assert (field.table is not None) == (name in ("smooth ray", "J(D) product"))
+    assert np.isfinite(complex(np.asarray(field(0.5))))
+    with pytest.raises(NotImplementedError, match="only order 0"):
+        field(0.5, 1)
+
+
+def test_delta_sum_field_matches_mpmath_derivatives():
+    terms = [(0.0, 0, 1.5), (0.0, 2, -0.5 + 1j), (0.7, 1, 2j), (0.7, 3, 0.25),
+             (0.0, 3, 0.1), (0.7, 0, -1.0)]
+    field = sp.delta_sum_field(terms, "sum")
+    assert field.table is None
+    assert field.powers == (2.5, 2.0, abs(-0.5 + 1j), 0.35)
+
+    def closed(xi):
+        return sum(c * (1j * xi) ** m * mp.exp(-1j * a * xi) for a, m, c in terms)
+
+    xis = np.array([-3.0, -0.4, 0.0, 1.1, 5.0])
+    for q in range(5):
+        got = field(xis, order=q)
+        with mp.workdps(30):
+            want = np.array([complex(mp.diff(closed, mp.mpf(x), q)) for x in xis])
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-13, q
+
+
+def test_round_trip_branch_below_its_table_height_raises():
+    back = sp.inverse_fourier(sp.fourier_transform(CORPUS["sech"]))
+    assert np.isfinite(back.f_plus(0.3 + 0.05j)) and np.isfinite(back.f_minus(0.3 - 0.05j))
+    for branch, z in ((back.f_plus, 0.3 + 0.049j), (back.f_minus, 0.3 - 0.049j)):
+        with pytest.raises(ConvergenceError, match=r"Im z = -?0.049 needs \|xi\| up to "
+                                                   r"69.83\d*, past the cutoff 69.67"):
+            branch(z)
+
+
+def test_moment_of_the_zero_hyperfunction_is_zero():
+    zero = sp.realize_moments([0, 0, 0]).hyperfunction
+    assert [sp.moment(zero, n) for n in range(3)] == [0, 0, 0]
