@@ -275,7 +275,7 @@ def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
     combination the closed form of ``spectral.delta_sum_field`` over its
     projected terms; for a smooth f, exp sums over its own memoized
     projection, from the least power of two of u-points >= max(16, 2 extent
-    peak / pi), a step below pi / peak."""
+    peak / pi), a step below pi / peak.  A non-finite rho raises ``ValueError``."""
     omega = _check_unit(omega, f.dimension)
     if isinstance(f, DeltaCombo):
         return sp.delta_sum_field(_projected_terms(f, omega), f"ray({f.label})")
@@ -285,6 +285,8 @@ def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
 
     def table(rhos):
         rhos = np.asarray(rhos, dtype=float)
+        if not np.all(np.isfinite(rhos)):
+            raise ValueError(f"Fourier ray table of {f.label or 'f'} at a non-finite rho")
         peak = max(1.0, float(np.max(np.abs(rhos))))
         # a power of two, so tables of one ray share levels
         start = max(16, 1 << (math.ceil(2.0 * extent * peak / math.pi) - 1).bit_length())

@@ -266,8 +266,10 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
     def table(xis, order=0):
         """hat f^(order) on one shared oscillation-resolving grid for a whole
         batch of xi; the derivative order is the factor (-iz)^order of both
-        branch amplitudes."""
+        branch amplitudes.  A non-finite xi raises ``ValueError``."""
         xis = np.asarray(xis, dtype=float)
+        if not np.all(np.isfinite(xis)):
+            raise ValueError(f"Fourier table of {f.label or 'f'} at a non-finite xi")
         xi_peak = max(1.0, float(np.max(np.abs(xis))))
         growth, weight = hy._combined_tail(f, GrowthClass.tempered(float(order)))
         radius = quad_auto_radius(growth, 1e-11, weight)
@@ -595,7 +597,7 @@ def build_multiplier(phi_table: Callable[[float], float],
 
 
 # ---------------------------------------------------------------------------
-# structural representation f = J(D) (1 - D^2) f0
+# structural representation f = (1 - D^2) f0
 
 
 _EULER_GAMMA = 0.57721566490153286061
@@ -639,7 +641,6 @@ def _tail_kernel(x, xi_max):
 
 @dataclass(frozen=True)
 class StructuralRep:
-    operator: LocalOperator  # the J factor
     weight: LocalOperator  # the fixed 1 - D^2 factor
     x_grid: np.ndarray
     f0_values: np.ndarray
@@ -647,12 +648,11 @@ class StructuralRep:
     xi_max: float
 
     def reconstruct_pairing(self, phi: TestFunction) -> complex:
-        """int f0 (J* W* phi) dx to abs_tol 1e-8; should match pair(f, phi) of
+        """int f0 (W* phi) dx to abs_tol 1e-8; should match pair(f, phi) of
         the input f."""
         if not isinstance(phi.expr, ex.Expr):
             raise TypeError("verification needs an expression test function")
-        combined = self.weight.adjoint().apply_to_expr(
-            self.operator.adjoint().apply_to_expr(phi.expr))
+        combined = self.weight.adjoint().apply_to_expr(phi.expr)
         lim = float(self.x_grid[-1])
 
         def integrand(x):
@@ -663,36 +663,35 @@ class StructuralRep:
         return complex(val)
 
 
-def structural_representation(f: Hyperfunction1D,
-                              J: Optional[LocalOperator] = None) -> StructuralRep:
-    """f = J(D)(1 - D^2) f0 with continuous f0 sampled on a grid.
+def structural_representation(f: Hyperfunction1D) -> StructuralRep:
+    """f = (1 - D^2) f0 with continuous f0 sampled on a grid.
 
-    f0 is the inverse transform of hat f / (J(xi) (1 + xi^2)).  The slowly
-    decaying part of that quotient is handled by an analytic 1/xi^2 tail
-    correction so the oscillatory grid integral stays short.  The cutoff
-    xi_max doubles from 16 until the quotient or its tail model is within
-    1e-6, and ``ConvergenceError`` is raised once it passes 1e5.  f0 is
-    sampled at 141 points on [-14, 14]; its degree-10 panels double through
-    ``refine`` from half of max(64, 2 14 xi_max / pi) until two passes agree
-    within 1e-6.
+    f0(x + a), a the point support of a delta-like f (else 0), is the inverse
+    transform of e^(i a xi) hat f / (1 + xi^2); past the cutoff that quotient
+    is modelled as c/xi^2, whose analytic 1/xi^2 tail correction keeps the
+    oscillatory grid integral short.  The cutoff xi_max doubles from 16 until
+    the quotient or its tail model is within 1e-6, and ``ConvergenceError`` is
+    raised once it passes 1e5.  f0 is sampled at 141 points on [-14, 14]; its
+    degree-10 panels double through ``refine`` from half of max(64, 2 14
+    xi_max / pi) until two passes agree within 1e-6.
     """
     if not f.is_asymptotic:
         raise AdmissibilityError(
             "structural_representation requires an asymptotic input "
             "(tempered transforms are finite-order distributions)")
-    if J is None:
-        J = LocalOperator((1.0,), label="1")
     field = fourier_transform(f)
     x_max, grid_n, abs_tol = 14.0, 141, 1e-6
+    a = f.point_support or 0.0
 
-    def fhat0(xi):
-        return np.asarray(field(xi, 0)) / (np.asarray(J.symbol(xi)) * (1.0 + np.asarray(xi) ** 2))
+    def fhat0(xi):  # the transform of f0(x + a)
+        q = np.asarray(field(xi, 0)) / (1.0 + np.asarray(xi) ** 2)
+        return q * np.exp(1j * a * np.asarray(xi)) if a else q
 
     # domination check: the quotient must stay bounded going out
     r0 = abs(complex(np.asarray(fhat0(0.0)))) + 1.0
     for probe in (8.0, 16.0, 32.0):
         if abs(complex(np.asarray(fhat0(probe)))) > 10.0 * r0:
-            raise AdmissibilityError("J does not dominate the transform (too small)")
+            raise AdmissibilityError("1 + xi^2 does not dominate the transform")
 
     xi_max = 16.0
     while xi_max < 1e5:
@@ -709,7 +708,7 @@ def structural_representation(f: Hyperfunction1D,
         xi_max *= 2.0
     else:
         raise ConvergenceError(
-            f"structural cutoff for {f.label or 'f'}: hat f / (J (1 + xi^2)) and its "
+            f"structural cutoff for {f.label or 'f'}: hat f / (1 + xi^2) and its "
             f"c/xi^2 tail model did not settle to abs_tol={abs_tol:g} below xi_max = 1e5")
 
     c_plus, c_minus = vp * xi_max ** 2, vm * xi_max ** 2
@@ -723,8 +722,8 @@ def structural_representation(f: Hyperfunction1D,
 
         def f0(x):
             xr = np.atleast_1d(np.real(np.asarray(x))).astype(float)
-            tail = _tail_kernel(xr, xi_max)  # I(-x) is its conjugate
-            vals = rule.exp_sum(xr, wg, 1j) + (c_plus * tail + c_minus * tail.conj())
+            tail = _tail_kernel(xr - a, xi_max)  # I(-x) is its conjugate
+            vals = rule.exp_sum(xr - a, wg, 1j) + (c_plus * tail + c_minus * tail.conj())
             vals = vals / (2.0 * math.pi)
             return vals if np.ndim(x) else complex(vals[0])
 
@@ -735,5 +734,5 @@ def structural_representation(f: Hyperfunction1D,
                                f"halves of its {panels} panels")
 
     weight = LocalOperator((1.0, 0.0, -1.0), label="1-D^2")
-    return StructuralRep(operator=J, weight=weight, x_grid=grid,
+    return StructuralRep(weight=weight, x_grid=grid,
                          f0_values=f0_vals, f0=f0_at[level], xi_max=xi_max)

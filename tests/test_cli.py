@@ -133,6 +133,14 @@ def test_structural_cutoff_past_its_cap_exits_1(tmp_path, capsys):
     assert time.perf_counter() - start < 5.0
 
 
+def test_structural_of_a_shifted_delta_exits_0(tmp_path):
+    # its tail model takes the phase e^(i xi / 2) out of the quotient
+    code, out = run(["structural", "--label", "delta_shift"], tmp_path)
+    assert code == 0
+    rec = json.loads((out / "structural.json").read_text())
+    assert rec["pairing_error"] < 1e-8
+
+
 def test_config_file_merges_under_flags(tmp_path):
     cfgfile = tmp_path / "job.json"
     cfgfile.write_text(json.dumps({"label": "delta", "test": "gauss",

@@ -7,7 +7,7 @@ import hypercalc
 # Settable values and source lines after the last change that moved them.  A
 # new option or added code raises its number in the same diff that gives the
 # reason.
-SETTABLE_VALUES = 83
+SETTABLE_VALUES = 82
 SOURCE_LINES = 4710
 
 
@@ -50,3 +50,26 @@ def test_source_lines_do_not_grow():
     package = Path(hypercalc.__file__).parent
     lines = sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
     assert lines <= SOURCE_LINES
+
+
+def package_imports(package_dir):
+    """Module -> the package modules it names in a ``from .`` import, at any
+    depth: an import inside a function counts."""
+    graph = {}
+    for path in sorted(Path(package_dir).glob("*.py")):
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps.update([node.module] if node.module else [a.name for a in node.names])
+        graph[path.stem] = deps
+    return graph
+
+
+def test_package_imports_form_no_cycle():
+    # peel off modules that import nothing left; what remains is on a cycle
+    # or imports one
+    remaining = package_imports(Path(hypercalc.__file__).parent)
+    while leaves := [m for m, deps in remaining.items() if not deps & remaining.keys()]:
+        for m in leaves:
+            del remaining[m]
+    assert not remaining, f"import cycle in or below {sorted(remaining)}"

@@ -395,3 +395,13 @@ def test_one_dimensional_routes_and_moments():
     assert abs(hy.pair(rd.radon_via_fourier(f, (-1.0,)), SUITE[0]) - want) <= 1e-8
     assert abs(rd.helgason_moment(f, 1)((1.0,)) - 0.5 * math.sqrt(math.pi)) <= 1e-10
     assert abs(rd.slice_moment(f, (-1.0,), 1) + 0.5 * math.sqrt(math.pi)) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ray_table_rejects_a_non_finite_rho(bad):
+    # inf overflowed the start level, and NaN ran every level to the cap
+    ray = rd.multidim_fourier_ray(MD["gauss2"], (1.0, 0.0))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="non-finite rho"):
+        ray.table(np.array([bad, 1.0]))
+    assert time.perf_counter() - start < 0.01
