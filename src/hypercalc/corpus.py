@@ -2,10 +2,11 @@
 inputs used by the verification suite and the command line driver.
 
 Corpus files are JSON: a list of records with the defining-function pair as
-expression strings plus strips, growth class, and the optional point-support
-and tail-gain annotations.  A record keeps the two keys ``strip_plus`` and
-``strip_minus``: they are written equal, and a record whose two differ is
-read with the smaller, the strip both branches share.
+expression strings plus strips, growth class, and the optional point
+support.  A record keeps the two keys ``strip_plus`` and ``strip_minus``:
+they are written equal, and a record whose two differ is read with the
+smaller, the strip both branches share.  Any other key is ignored, so a
+record written with keys that are no longer read still loads.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def default_corpus() -> Dict[str, Hyperfunction1D]:
 
     out["lorentz"] = Hyperfunction1D(
         f_plus=ex.parse_expr("1/(1+z*z)"), f_minus=ex._ZERO,
-        strip=0.9, growth=GrowthClass.tempered(-2.0), tail_gain=1, label="lorentz")
+        strip=0.9, growth=GrowthClass.tempered(-2.0), label="lorentz")
 
     L = example_operator()
     sol1 = solve_series(L, "delta", Fraction(1), 30)
@@ -128,7 +129,6 @@ def corpus_to_json(corpus: Dict[str, Hyperfunction1D]) -> str:
             "strip_minus": strip,
             "growth": f.growth.to_json(),
             "point_support": f.point_support,
-            "tail_gain": f.tail_gain,
         }
         records.append(rec)
     return json.dumps(records, indent=2, sort_keys=True)
@@ -156,7 +156,6 @@ def corpus_from_json(text: str) -> Dict[str, Hyperfunction1D]:
                       for key in ("strip_plus", "strip_minus")),
             growth=growth,
             point_support=rec.get("point_support"),
-            tail_gain=int(rec.get("tail_gain", 0)),
             label=rec["label"],
         )
     return out

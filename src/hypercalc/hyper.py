@@ -49,9 +49,7 @@ class Hyperfunction1D:
     ``point_support`` marks the delta-like case: both branches are
     restrictions of a single function holomorphic on the strip minus that
     real point, so pairings may deform to a circle contour around it.
-    ``tail_gain`` declares how many extra orders of decay the combined
-    two-line integrand gains from matching branch tails (checked empirically
-    on the corpus, not inferred).
+    A pairing's tail is certified from the declared ``growth`` alone.
     """
 
     f_plus: Callable
@@ -60,7 +58,6 @@ class Hyperfunction1D:
     growth: GrowthClass = GrowthClass.asymptotic()
     label: str = ""
     point_support: Optional[float] = None
-    tail_gain: int = 0
 
     @property
     def is_delta_like(self):
@@ -211,7 +208,8 @@ def _std_kernel(d):
 
 
 def _combined_tail(f: Hyperfunction1D, phi_growth: GrowthClass):
-    """Growth model of the two-line bracket integrand; raises if divergent."""
+    """Growth model of the two-line bracket integrand, from the two declared
+    envelopes alone; raises if it is divergent or not declared."""
     g, p = f.growth, phi_growth
     kinds = {g.kind, p.kind}
     c = g.constant * p.constant
@@ -236,9 +234,10 @@ def _combined_tail(f: Hyperfunction1D, phi_growth: GrowthClass):
         rate = sum(x.rate for x in (g, p) if x.kind == "exp_decay")
         return GrowthClass.exp_decay(rate, constant=c), max(0.0, gamma)
     if "asymptotic" in kinds:
-        return GrowthClass.asymptotic(constant=c), 0.0
+        raise AdmissibilityError("the asymptotic class declares no decay rate: "
+                                 "pair it with an exp_decay or gaussian partner")
     # tempered x tempered
-    total = g.gamma + p.gamma - f.tail_gain
+    total = g.gamma + p.gamma
     if total >= -1.0:
         raise AdmissibilityError(
             f"tempered x tempered pairing with combined exponent {total:g} >= -1")
@@ -421,8 +420,7 @@ def standardize(f: Hyperfunction1D) -> Hyperfunction1D:
         growth = GrowthClass.gaussian(growth.rate / (1.0 + growth.rate), growth.constant)
     G = by_height(on_circle if f.is_delta_like else on_lines)
     return Hyperfunction1D(f_plus=G, f_minus=G, strip=strip,
-                           growth=growth, label=f"std({f.label})",
-                           tail_gain=max(f.tail_gain, 1))
+                           growth=growth, label=f"std({f.label})")
 
 
 # ---------------------------------------------------------------------------

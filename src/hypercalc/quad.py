@@ -366,6 +366,9 @@ def tail_bound(growth: GrowthClass, weight_exponent: float, radius: float) -> fl
     (1 + x)^w <= ((1 + R) / R)^w x^w and int_R^inf x^w e^(-a x^2) dx =
     a^(-s) Gamma(s, a R^2) / 2 with s = (w + 1) / 2, where Gamma(s, y) <=
     y^(s-1) e^(-y) for s <= 1 (t^(s-1) <= y^(s-1) for t >= y).
+    A tempered class bounds the tail by its power; the asymptotic class fixes
+    no constant for any one power, and infra-exponential growth diverges, so
+    both raise ``DivergentTailError``.
     """
     if growth is None:
         raise ValueError("tail_bound requires a growth class")
@@ -391,12 +394,8 @@ def tail_bound(growth: GrowthClass, weight_exponent: float, radius: float) -> fl
             raise DivergentTailError(
                 f"tail exponent {p:g} >= -1: line integral tail diverges")
         return 2.0 * c * r ** (p + 1.0) / (-(p + 1.0))
-    if growth.kind == "asymptotic":
-        # conservative stand-in: rapid decay treated as the power that makes
-        # the weighted tail O(1/R)
-        surrogate = GrowthClass.tempered(-(w + 2.0), constant=c)
-        return tail_bound(surrogate, w, r)
-    raise DivergentTailError("infra-exponential growth has no convergent line tail")
+    raise DivergentTailError(f"the {growth.kind} class declares no rate that "
+                             "bounds a line tail")
 
 
 def _upper_gamma(s: float, y: float) -> float:

@@ -21,7 +21,6 @@ from . import hyper as hy
 from . import spectral as sp
 from .growth import GrowthClass
 from .hyper import Hyperfunction1D, TWO_PI_I
-from .odeseries import _is_exact
 from .quad import (CompositeRule, DimensionError, by_height, in_row_blocks,
                    integrate_box, refine)
 
@@ -80,11 +79,6 @@ class PointSource:
     coefficients: Mapping[tuple, object]  # multi-index -> coefficient
     point: tuple
     weight: object = 1
-
-    @property
-    def exact(self):
-        return (all(_is_exact(c) for c in self.coefficients.values())
-                and all(_is_exact(p) for p in self.point) and _is_exact(self.weight))
 
 
 @dataclass(frozen=True)
@@ -266,7 +260,7 @@ def radon_transform(f: MultiDimFunction, omega, abs_tol: float = 1e-9) -> RadonS
     G = by_height(at_height)
     slice_hyper = Hyperfunction1D(
         f_plus=G, f_minus=G, strip=math.inf, growth=GrowthClass.tempered(-1.0),
-        tail_gain=1, label=f"radon({f.label})")
+        label=f"radon({f.label})")
     return RadonSlice(omega=omega, hyper=slice_hyper, label=f.label)
 
 
@@ -306,10 +300,9 @@ def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
                           growth=GrowthClass.exp_decay(rate, constant=10.0 * (v0 + 1.0)))
 
 
-def radon_via_fourier(f: MultiDimFunction, omega, label: str = "") -> Hyperfunction1D:
+def radon_via_fourier(f: MultiDimFunction, omega) -> Hyperfunction1D:
     """Slice through the Fourier route: (1/2 pi) int hat f(rho omega) e^(i rho t)."""
-    ray = multidim_fourier_ray(f, omega)
-    return sp.inverse_fourier(ray, label=label or f"radonF({getattr(f, 'label', '')})")
+    return sp.inverse_fourier(multidim_fourier_ray(f, omega), label=f"radonF({f.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +311,16 @@ def radon_via_fourier(f: MultiDimFunction, omega, label: str = "") -> Hyperfunct
 
 def multidim_moment(f: MultiDimFunction, alpha):
     """mu^alpha(f) = integral of x^alpha f, to abs_tol 1e-10; symbolic for delta
-    combinations."""
+    combinations: exact when their coefficients, weights and points are."""
     if isinstance(f, DeltaCombo):
-        exact = all(src.exact for src in f.sources)
-        total = Fraction(0) if exact else 0j
+        total = 0
         for src in f.sources:
             for beta, b in src.coefficients.items():
                 if any(bi > ai for bi, ai in zip(beta, alpha)):
                     continue
                 term = src.weight * b * (-1) ** sum(beta)
                 for ai, bi, pi in zip(alpha, beta, src.point):
-                    falling = Fraction(math.factorial(ai), math.factorial(ai - bi))
-                    term = term * (falling if exact else float(falling))
-                    term = term * pi ** (ai - bi)
+                    term = term * math.perm(ai, bi) * pi ** (ai - bi)
                 total = total + term
         return total
 
@@ -348,16 +338,9 @@ def helgason_moment(f: MultiDimFunction, k: int) -> HomogeneousPoly:
     k <= HELGASON_DEGREE_CAP."""
     if k > HELGASON_DEGREE_CAP:
         raise ValueError(f"degree {k} above the cap {HELGASON_DEGREE_CAP}")
-    n = f.dimension
-    coeffs = {}
-    for alpha in multi_indices(n, k):
-        mu = multidim_moment(f, alpha)
-        fac = 1
-        for a in alpha:
-            fac *= math.factorial(a)
-        c = mu * Fraction(math.factorial(k), fac) if _is_exact(mu) \
-            else mu * (math.factorial(k) / fac)
-        coeffs[alpha] = c
+    coeffs = {alpha: multidim_moment(f, alpha)
+              * Fraction(math.factorial(k), math.prod(map(math.factorial, alpha)))
+              for alpha in multi_indices(f.dimension, k)}
     return HomogeneousPoly(degree=k, coefficients=coeffs)
 
 
@@ -394,10 +377,7 @@ class RadonExpansion:
 
     def coefficient(self, k: int, omega):
         """Coefficient of delta^(k)(t) in the expansion: (-1)^k p^k(omega)/k!."""
-        val = self.polys[k](omega)
-        if _is_exact(val):
-            return val * Fraction((-1) ** k, math.factorial(k))
-        return complex(val) * (-1.0) ** k / math.factorial(k)
+        return self.polys[k](omega) * Fraction((-1) ** k, math.factorial(k))
 
 
 def radon_asymptotic_sum(f: MultiDimFunction, N: int) -> RadonExpansion:
@@ -421,12 +401,7 @@ def example_point_coefficient(src: PointSource, omega, k: int):
         for a, o in zip(alpha, omega):
             term = term * o ** a
         j = k - m
-        sign = (-1) ** j
-        if _is_exact(term) and _is_exact(adot):
-            term = term * Fraction(sign, math.factorial(j)) * adot ** j
-        else:
-            term = term * sign / math.factorial(j) * adot ** j
-        total = total + term
+        total = total + term * Fraction((-1) ** j, math.factorial(j)) * adot ** j
     return total
 
 

@@ -382,7 +382,7 @@ def inverse_fourier(g: SmoothField, label: str = "",
     return Hyperfunction1D(
         f_plus=branch(+1), f_minus=branch(-1), strip=math.inf,
         growth=GrowthClass.asymptotic(),
-        label=label or f"ift({g.label})", tail_gain=1)
+        label=label or f"ift({g.label})")
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,7 @@ def test_multiplier_report_says_whether_k_reached_its_target(tmp_path):
     assert code == 0
     rec = json.loads((out / "multiplier.json").read_text())
     assert rec["K_terms"] == 208621 and rec["converged"] is False
+    assert "admissible" not in rec  # the built operator has no tail to test
     assert abs(rec["tail_ratio"] - 1.53e-11) <= 0.01e-11
 
 
@@ -290,6 +291,26 @@ def test_corpus_record_with_unequal_strips_reads_as_the_smaller():
     assert narrow.strip == both.strip == 0.9
     for phi in cp.test_suite():
         assert complex(hy.pair(narrow, phi)) == complex(hy.pair(both, phi)), phi.label
+
+
+def test_corpus_json_drops_the_tail_gain_key_and_still_reads_it():
+    text = cp.corpus_to_json({"lorentz": cp.default_corpus()["lorentz"]})
+    assert "tail_gain" not in text
+    rec = json.loads(text)[0]
+    old = cp.corpus_from_json(json.dumps([{**rec, "tail_gain": 1}]))
+    assert cp.corpus_to_json(old) == text
+
+
+@pytest.mark.parametrize("command", ["moments", "fourier"])
+def test_asymptotic_class_record_exits_2(tmp_path, capsys, command):
+    rec = json.loads(cp.corpus_to_json({"sech": cp.default_corpus()["sech"]}))[0]
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([{**rec, "growth": {"kind": "asymptotic", "constant": 2.0}}]))
+    code, _ = run([command, "--input", str(path), "--label", "sech"], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "declares no decay rate" in err
 
 
 def test_parse_operator():

@@ -453,6 +453,23 @@ def test_tempered_pair_with_tempered_test_rejected():
         hy.pair(f, phi)
 
 
+def test_tempered_pair_tail_adds_the_declared_exponents():
+    growth, weight = hy._combined_tail(cp.default_corpus()["lorentz"],
+                                       GrowthClass.tempered(0.5, constant=3.0))
+    assert growth == GrowthClass.tempered(-1.5, constant=3.0) and weight == 0.0
+
+
+@pytest.mark.parametrize("weight", range(4))
+def test_asymptotic_pair_with_tempered_test_rejected(weight):
+    # the asymptotic class bounds each power of decay with its own constant
+    # and declares none of them, so no tail against (1 + |x|)^weight is certified
+    f = replace(cp.default_corpus()["sech"], growth=GrowthClass.asymptotic(2.0))
+    phi = hy.TestFunction(ex.parse_expr(f"z^{weight}"), math.inf,
+                          GrowthClass.tempered(float(weight)))
+    with pytest.raises(hy.AdmissibilityError, match="declares no decay rate"):
+        hy.pair(f, phi)
+
+
 _CORPUS = cp.default_corpus()
 
 

@@ -111,6 +111,13 @@ def test_tail_bound_divergent():
         tail_bound(GrowthClass.tempered(2.0), 0.0, 10.0)
 
 
+@pytest.mark.parametrize("growth", [GrowthClass.asymptotic(), GrowthClass.infra_exponential()],
+                         ids=["asymptotic", "infra_exponential"])
+def test_tail_bound_of_a_class_without_a_rate_raises(growth):
+    with pytest.raises(DivergentTailError, match=f"the {growth.kind} class"):
+        tail_bound(growth, 0.0, 10.0)
+
+
 def test_auto_radius_meets_tolerance():
     g = GrowthClass.exp_decay(1.0, constant=1.0)
     r = auto_radius(g, 1e-10)
@@ -137,8 +144,7 @@ def _auto_radius_80_steps(growth, abs_tol, w):
 def test_auto_radius_stops_at_adjacent_floats_with_the_80_step_radius(monkeypatch):
     classes = [GrowthClass.exp_decay(d, constant=c) for d in (0.25, 1.0, 3.0)
                for c in (1.0, 40.0)]
-    classes += [GrowthClass.tempered(-9.5, constant=2.0), GrowthClass.asymptotic(),
-                GrowthClass.asymptotic(constant=1e-3)]
+    classes.append(GrowthClass.tempered(-9.5, constant=2.0))
     calls = []
     counted = tail_bound
 
@@ -159,8 +165,7 @@ def test_auto_radius_stops_at_adjacent_floats_with_the_80_step_radius(monkeypatc
                     continue
                 calls.clear()
                 assert auto_radius(g, tol, float(w)) == want, (g, w, tol)
-                made = sum(1 for args in calls if args[0] is g)  # not the surrogate's
-                assert made < 60 + math.log2(want), (g, w, tol, made)
+                assert len(calls) < 60 + math.log2(want), (g, w, tol, len(calls))
                 compared += 1
     assert compared > 150
     # the tail is below target already at r = 1, the lower end that is never

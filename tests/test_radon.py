@@ -103,6 +103,22 @@ def test_expansion_coefficient_closed_form():
             for s in MD["point_J"].sources)
 
 
+def test_float_point_source_follows_the_exact_one():
+    # one expression serves both: Fraction arithmetic stays exact, and a float
+    # anywhere in the source makes the result a float within rounding
+    exact = MD["point_J"].sources[0]
+    src = rd.PointSource({a: float(b) for a, b in exact.coefficients.items()},
+                         tuple(map(float, exact.point)), 1.0)
+    omega = (Fraction(3, 5), Fraction(4, 5))
+    want = rd.radon_asymptotic_sum(MD["point_J"], 4)
+    got = rd.radon_asymptotic_sum(rd.DeltaCombo((src,), dimension=2), 4)
+    for k in range(5):
+        w = want.coefficient(k, omega)
+        assert isinstance(w, Fraction)
+        for v in (got.coefficient(k, omega), rd.example_point_coefficient(src, omega, k)):
+            assert abs(v - w) <= 1e-14 * max(1.0, abs(w)), (k, v, w)
+
+
 def test_expansion_coefficient_parity():
     omega = (Fraction(3, 5), Fraction(4, 5))
     neg = (Fraction(-3, 5), Fraction(-4, 5))

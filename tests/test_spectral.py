@@ -138,6 +138,15 @@ def test_round_trip_sech():
     assert abs(hy.pair(f, phi) - hy.pair(back, phi)) < 1e-6
 
 
+@pytest.mark.parametrize("n", [0, 2])
+def test_moment_of_a_round_trip_is_rejected(n):
+    # the inverse transform is declared asymptotic, a class with no rate that
+    # certifies the tail against z^n
+    back = sp.inverse_fourier(sp.fourier_transform(CORPUS["sech"]))
+    with pytest.raises(hy.AdmissibilityError, match="declares no decay rate"):
+        sp.moment(back, n)
+
+
 def test_inverse_branch_value_does_not_depend_on_batch():
     back = sp.inverse_fourier(sp.fourier_transform(CORPUS["sech"]))
     for branch, z in ((back.f_plus, np.array([0.5 + 0.25j, 6.0 + 0.1j])),
