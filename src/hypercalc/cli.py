@@ -131,8 +131,7 @@ def parse_operator(text: str) -> od.PolyCoeffOperator:
                 j += int(md.group(1) or 1)
             else:
                 try:
-                    coef = coef * (Fraction(factor) if "/" in factor or
-                                   "." not in factor else float(factor))
+                    coef = coef * Fraction(factor)
                 except ValueError:
                     raise UsageError(f"cannot parse factor {factor!r} "
                                      f"in operator {text!r}")

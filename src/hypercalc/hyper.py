@@ -312,7 +312,10 @@ def pair_with_error(f, phi, spec=None, force_lines=False):
 
 def scale_pair(f: Hyperfunction1D, phi: TestFunction, lam: float,
                spec: Optional[ContourSpec] = None) -> complex:
-    """<f(lam x), phi(x)> = (1/lam) <f(x), phi(x/lam)>."""
+    """<f(lam x), phi(x)> = (1/lam) <f(x), phi(x/lam)>.
+
+    A tempered phi's constant C becomes C max(1, |lam|^-gamma), since
+    (1 + |x/lam|)^gamma <= max(1, |lam|^-gamma) (1 + |x|)^gamma."""
     if lam == 0:
         raise ValueError("scale factor must be nonzero")
     if not isinstance(phi.expr, ex.Expr):
@@ -323,6 +326,9 @@ def scale_pair(f: Hyperfunction1D, phi: TestFunction, lam: float,
         g = GrowthClass.exp_decay(g.rate / abs(lam), constant=g.constant)
     if g.kind == "gaussian":
         g = GrowthClass.gaussian(g.rate / lam ** 2, constant=g.constant)
+    if g.kind == "tempered":
+        g = GrowthClass.tempered(g.gamma,
+                                 constant=g.constant * max(1.0, abs(lam) ** -g.gamma))
     phi_scaled = TestFunction(scaled, strip_halfwidth=phi.strip_halfwidth * abs(lam),
                               growth=g, label=f"{phi.label}(x/{lam:g})")
     return pair(f, phi_scaled, spec) / lam

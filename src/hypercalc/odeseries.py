@@ -2,8 +2,8 @@
 
 Series live on defining functions: a delta-derivative or finite-part series
 is stored as a Laurent tail in tau, where multiplication by t and d/dt act
-exactly (t * tau^-n = tau^-(n-1), d/dtau tau^-n = -n tau^-(n+1)).  All
-arithmetic is exact rational when the inputs are rational.
+exactly (t * tau^-n = tau^-(n-1), d/dtau tau^-n = -n tau^-(n+1)).  The
+solver's arithmetic is exact rational: a float input is its binary value.
 
 Conventions.  A tail holds rational coefficients g_n of tau^-n for the
 reduced function Gtilde; the actual defining functions are
@@ -94,18 +94,17 @@ def apply_operator(L: PolyCoeffOperator, s: FormalLaurentTail) -> FormalLaurentT
         for n, g in s.coefficients.items():
             if not g:
                 continue
-            coef = g * c
-            k = n
-            for _ in range(j):  # d/dtau
-                coef = coef * (-k)
+            scale, k = 1, n
+            for _ in range(j):  # d/dtau, in integers before g and c enter
+                scale *= -k
                 k += 1
-            if not coef:
+            if not scale:
                 continue
             k -= m  # multiply by t^m; k < 0 (an entire part) is kept for callers
             if k > s.n_max:
                 lost.add(k)
                 continue
-            out[k] = out.get(k, 0) + coef
+            out[k] = out.get(k, 0) + g * scale * c
     out = {k: v for k, v in out.items() if v}
     return FormalLaurentTail(parity=s.parity, coefficients=out, n_max=s.n_max,
                              lost_degrees=tuple(sorted(lost)))
@@ -121,77 +120,60 @@ class SeriesSolution:
     coefficients: tuple  # basis coefficients a_0..a_N
     constant: object  # compensating constant term (fp basis), else 0
     admissible: bool
-    root_sequence: tuple
     tail: FormalLaurentTail
 
 
-def _basis_tail(basis: str, n: int, n_max: int) -> FormalLaurentTail:
-    if basis == "delta":
-        # delta^(n): Gtilde_{n+1} = (-1)^n n!
-        return FormalLaurentTail("delta", {n + 1: (-1) ** n * math.factorial(n)},
-                                 n_max)
-    # f.p. 1/t^(n+1): Gtilde_{n+1} = 1
-    return FormalLaurentTail("fp", {n + 1: 1}, n_max)
+def _exact(x) -> Fraction:
+    """x as a Fraction; a float becomes its exact binary value."""
+    if isinstance(x, complex):
+        raise ValueError(f"solve_series needs real coefficients, got {x!r}")
+    return Fraction(x)
 
 
 def solve_series(L: PolyCoeffOperator, basis: str, init, N: int) -> SeriesSolution:
     """Solve L f = 0 order by order for f = sum a_n e_n (plus a compensating
-    constant in the fp basis), a_0 = init, up to basis order N."""
+    constant in the fp basis), a_0 = init, up to basis order N.
+
+    The arithmetic is exact: init and L's coefficients become Fractions.  A
+    coordinate tau^-k is visible when the parity can show it: k >= 1 for the
+    delta parity (an entire part cancels in F+ - F-) and every k for fp.
+    Each unknown after a_0, the constant last, cancels the residual at the
+    lowest visible coordinate of its column L e_n; a column with none raises
+    ``RecurrenceError``, and so does a residual left at a visible k <= N
+    (coordinates above N are truncation artifacts).
+    """
     if basis not in ("delta", "fp"):
         raise ValueError(f"unknown basis {basis!r}")
+    L = PolyCoeffOperator(tuple((m, j, _exact(c)) for m, j, c in L.terms), L.label)
     n_max = N + 1 + max(j for _, j, _ in L.terms) + max(m for m, _, _ in L.terms)
-    cols = [apply_operator(L, _basis_tail(basis, n, n_max)).coefficients
-            for n in range(N + 1)]
-    const_col = {}
-    if basis == "fp":
-        const_col = apply_operator(
-            L, FormalLaurentTail("fp", {0: 1}, n_max)).coefficients
+    # e_n: delta^(n) has Gtilde_{n+1} = (-1)^n n!, f.p. t^-(n+1) has Gtilde_{n+1} = 1
+    units = [{n + 1: (-1) ** n * math.factorial(n) if basis == "delta" else 1}
+             for n in range(N + 1)] + ([{0: 1}] if basis == "fp" else [])
 
-    a = [None] * (N + 1)
-    a[0] = init
-    constant = 0
-    residual = {}
+    def visible(k):
+        return k >= 1 or basis == "fp"
 
-    def add_scaled(col, s):
-        for k, v in col.items():
-            residual[k] = residual.get(k, 0) + s * v
-
-    add_scaled(cols[0], init)
-    for n in range(1, N + 1):
-        pivot = min(k for k, v in cols[n].items() if v)
-        if basis == "delta" and pivot < 1:
-            pivot = min((k for k, v in cols[n].items() if v and k >= 1),
-                        default=None)
-            if pivot is None:
-                raise RecurrenceError(f"no usable pivot for basis index {n}")
-        piv_coef = cols[n][pivot]
-        if not piv_coef:
-            raise RecurrenceError(f"zero pivot at basis index {n}")
-        rhs = residual.get(pivot, 0)
-        if _is_exact(rhs) and _is_exact(piv_coef):
-            a[n] = -Fraction(rhs, 1) / Fraction(piv_coef, 1)
+    values, residual = [], {}
+    for n, unit in enumerate(units):
+        col = apply_operator(L, FormalLaurentTail(basis, unit, n_max)).coefficients
+        if n == 0:
+            value = _exact(init)
         else:
-            a[n] = -complex(rhs) / complex(piv_coef)
-        add_scaled(cols[n], a[n])
-    if basis == "fp" and const_col:
-        pivot = min(k for k, v in const_col.items() if v)
-        rhs = residual.get(pivot, 0)
-        piv = const_col[pivot]
-        constant = (-Fraction(rhs, 1) / Fraction(piv, 1)
-                    if _is_exact(rhs) and _is_exact(piv) else
-                    -complex(rhs) / complex(piv))
-        add_scaled(const_col, constant)
-
-    # every fully resolved coordinate must have cancelled (coordinates above
-    # N are truncation artifacts; nonpositive ones are invisible for the
-    # delta parity)
-    k_min = 1 if basis == "delta" else 0
+            pivot = min((k for k in col if visible(k)), default=None)
+            if pivot is None:
+                raise RecurrenceError(
+                    f"L e_{n} has no visible coordinate" if n <= N else
+                    "L maps the constant to no visible coordinate")
+            value = -residual.get(pivot, 0) / col[pivot]
+        values.append(value)
+        for k, v in col.items():
+            residual[k] = residual.get(k, 0) + value * v
     for k, v in sorted(residual.items()):
-        if k_min <= k <= N and v:
-            raise RecurrenceError(
-                f"no formal solution: residual {v} at tau^-{k}")
+        if v and visible(k) and k <= N:
+            raise RecurrenceError(f"no formal solution: residual {v} at tau^{-k}")
 
     # root test on the distribution-side coefficients
+    a = values[:N + 1]
     roots = []
     for n in range(1, N + 1):
         mag = abs(a[n])
@@ -202,18 +184,11 @@ def solve_series(L: PolyCoeffOperator, basis: str, init, N: int) -> SeriesSoluti
     admissible = bool(half) and all(b <= x * (1 + 1e-12) for x, b in
                                     zip(half, half[1:])) and half[-1] < 0.5
 
-    coeffs = {}
-    for n, an in enumerate(a):
-        tail_n = _basis_tail(basis, n, n_max)
-        for k, g in tail_n.coefficients.items():
-            coeffs[k] = coeffs.get(k, 0) + an * g
-    if basis == "fp" and constant:
-        coeffs[0] = coeffs.get(0, 0) + constant
-    tail = FormalLaurentTail(basis, {k: v for k, v in coeffs.items() if v},
-                             n_max=N + 1)
-    return SeriesSolution(basis=basis, coefficients=tuple(a), constant=constant,
-                          admissible=admissible, root_sequence=tuple(roots),
-                          tail=tail)
+    tail = FormalLaurentTail(basis, {k: value * g for value, unit in zip(values, units)
+                                     for k, g in unit.items() if value}, n_max=N + 1)
+    return SeriesSolution(basis=basis, coefficients=tuple(a),
+                          constant=values[N + 1] if basis == "fp" else 0,
+                          admissible=admissible, tail=tail)
 
 
 # ---------------------------------------------------------------------------

@@ -525,8 +525,8 @@ def build_multiplier(phi_table: Callable[[float], float],
     Returns (LocalOperator, MultiplierReport).  Without ``K_terms``, K grows
     until (zeta_max / m_K)^2 <= 1e-16 or K passes 200000; the report carries
     the ratio reached and whether it met 1e-16.  The report samples the lower
-    bound |J(zeta)| e^(-c |zeta| / phi(|zeta|+1)) on rays with
-    |Im zeta| <= max(|Re zeta|/sqrt(3), 1).
+    bound |J(zeta)| e^(-c |zeta| / phi(|zeta|+1)) on the rays arg zeta = 0,
+    +-30 degrees, inside |Im zeta| <= max(|Re zeta|/sqrt(3), 1).
     """
     probe = [phi_table(float(k)) for k in range(1, 51)]
     if any(p <= 0 for p in probe) or any(b < a - 1e-12 for a, b in zip(probe, probe[1:])):
@@ -577,8 +577,6 @@ def build_multiplier(phi_table: Callable[[float], float],
     for t in ts:
         for d in dirs:
             zeta = t * d
-            if abs(zeta.imag) > max(abs(zeta.real) / math.sqrt(3.0), 1.0) + 1e-9:
-                continue
             Jv = symbol(zeta)
             if Jv.real < 0:
                 sign_flip = True

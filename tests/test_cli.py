@@ -221,6 +221,11 @@ def test_unknown_keys_and_malformed_values_exit_2(tmp_path, capsys, command,
     (["ode-solve", "--op", "D"], 1, "no formal solution"),
     (["fourier", "--xi", "1e308"], 1, "Fourier table (|xi| up to 1e+308) did not reach"),
     (["multiplier", "--zeta-max", "1e9"], 1, "past double precision"),
+    (["ode-solve", "--op", "t*D+2"], 1, "L e_1 has no visible coordinate"),
+    (["ode-solve", "--op", "t*D+2", "--basis", "fp"], 1, "L e_1 has no visible coordinate"),
+    # the polynomial part of t^3 D f.p. 1/t, which the fp parity shows
+    (["ode-solve", "--op", "t^3*D-1", "--basis", "fp"], 1,
+     "no formal solution: residual -1 at tau^1"),
 ])
 def test_inputs_outside_a_domain_end_in_one_error_line(tmp_path, capsys, argv, code,
                                                        message):
@@ -229,6 +234,13 @@ def test_inputs_outside_a_domain_end_in_one_error_line(tmp_path, capsys, argv, c
     assert run(argv, tmp_path)[0] == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_ode_solve_reads_a_decimal_coefficient_exactly(tmp_path):
+    code, out = run(["ode-solve", "--op", "t^2*D-1.5"], tmp_path)
+    assert code == 0
+    coefficients = json.loads((out / "ode_solve.json").read_text())["coefficients"]
+    assert coefficients[:4] == ["1", "3/4", "3/16", "3/128"]
 
 
 def test_realize_of_zero_moments_exits_0(tmp_path):

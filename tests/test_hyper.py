@@ -80,6 +80,16 @@ def test_scale_pair_exact_for_delta():
     assert abs(got - want) < 1e-12
 
 
+@pytest.mark.parametrize("lam", [16.0, 64.0])
+def test_scale_pair_scales_a_tempered_constant(lam):
+    # |phi(x/lam)| <= 2 lam^2 (1+|x|)^-2, not 2 (1+|x|)^-2; the integral of
+    # 1/((1+lam^2 x^2)(1+x^2)) is pi/(1+lam)
+    phi = hy.TestFunction(ex.parse_expr("1/(1+z*z)"), strip_halfwidth=0.9,
+                          growth=GrowthClass.tempered(-2.0, constant=2.0), label="lorentz")
+    got = hy.scale_pair(cp.default_corpus()["lorentz"], phi, lam)
+    assert abs(got - math.pi / (1.0 + lam)) <= 1e-10 / lam
+
+
 def test_contour_offset_independence():
     f = cp.default_corpus()["gaussian"]
     phi = SUITE[1]

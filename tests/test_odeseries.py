@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import hypercalc.corpus as cp
 import hypercalc.expr as ex
@@ -121,6 +122,28 @@ def test_inconsistent_system_raises():
     with pytest.raises(od.RecurrenceError):
         od.solve_series(od.PolyCoeffOperator(((1, 1, 1),), label="t*D"),
                         "fp", init=1, N=10)
+
+
+# L = sum c t^m D^j with 1-3 terms, m <= 3, j <= 2, small nonzero rational c
+_terms = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
+                            st.fractions(-3, 3, max_denominator=4).filter(bool)),
+                  min_size=1, max_size=3, unique_by=lambda term: term[:2])
+
+
+@given(terms=_terms, basis=st.sampled_from(["delta", "fp"]), data=st.data())
+def test_solve_series_leaves_no_visible_residual(terms, basis, data):
+    L = od.PolyCoeffOperator(tuple(terms))
+    N = data.draw(st.integers(max(m for m, _, _ in terms), 12), label="N")
+    try:
+        sol = od.solve_series(L, basis, Fraction(1), N)
+    except od.RecurrenceError:
+        return
+    exact = sol.coefficients + ((sol.constant,) if basis == "fp" else ())
+    assert all(isinstance(a, Fraction) for a in exact)
+    # delta-parity coordinates k <= 0 are entire and cancel in F+ - F-
+    applied = od.apply_operator(L, sol.tail).coefficients
+    assert not [k for k, v in applied.items()
+                if v and k <= N and (k >= 1 or basis == "fp")]
 
 
 def test_residual_check_on_solutions():
