@@ -130,7 +130,12 @@ def parse_operator(text: str) -> od.PolyCoeffOperator:
             elif md:
                 j += int(md.group(1) or 1)
             else:
+                # Fraction builds 10**exp at once, so bound the exponent first
+                exp = re.search(r"[eE]([\d_]+)$", factor)
                 try:
+                    if exp and int(exp.group(1)) > 400:
+                        raise UsageError(f"exponent of factor {factor!r} exceeds 400 "
+                                         f"in operator {text!r}")
                     coef = coef * Fraction(factor)
                 except ValueError:
                     raise UsageError(f"cannot parse factor {factor!r} "

@@ -138,9 +138,10 @@ def solve_series(L: PolyCoeffOperator, basis: str, init, N: int) -> SeriesSoluti
     coordinate tau^-k is visible when the parity can show it: k >= 1 for the
     delta parity (an entire part cancels in F+ - F-) and every k for fp.
     Each unknown after a_0, the constant last, cancels the residual at the
-    lowest visible coordinate of its column L e_n; a column with none raises
-    ``RecurrenceError``, and so does a residual left at a visible k <= N
-    (coordinates above N are truncation artifacts).
+    lowest visible coordinate of its column L e_n.  A column of a_1..a_N with
+    none raises ``RecurrenceError``; an empty column of the constant (L 1 = 0)
+    leaves it free, and it stays 0.  A residual left at a visible k <= N
+    raises too (coordinates above N are truncation artifacts).
     """
     if basis not in ("delta", "fp"):
         raise ValueError(f"unknown basis {basis!r}")
@@ -160,11 +161,12 @@ def solve_series(L: PolyCoeffOperator, basis: str, init, N: int) -> SeriesSoluti
             value = _exact(init)
         else:
             pivot = min((k for k in col if visible(k)), default=None)
-            if pivot is None:
-                raise RecurrenceError(
-                    f"L e_{n} has no visible coordinate" if n <= N else
-                    "L maps the constant to no visible coordinate")
-            value = -residual.get(pivot, 0) / col[pivot]
+            if pivot is not None:
+                value = -residual.get(pivot, 0) / col[pivot]
+            elif n > N:  # L 1 = 0: the constant is free and stays 0
+                value = Fraction(0)
+            else:
+                raise RecurrenceError(f"L e_{n} has no visible coordinate")
         values.append(value)
         for k, v in col.items():
             residual[k] = residual.get(k, 0) + value * v

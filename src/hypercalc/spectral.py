@@ -583,10 +583,10 @@ def build_multiplier(phi_table: Callable[[float], float],
             samples.append((complex(zeta), complex(Jv)))
     rates = [math.log(max(abs(Jv), 1e-300)) * phi_table(abs(z) + 1.0) / abs(z)
              for z, Jv in samples]
-    c = 0.5 * min(rates) if rates else 0.0
+    c = 0.5 * min(rates)
     ratios = [abs(Jv) * math.exp(-c * abs(z) / phi_table(abs(z) + 1.0))
               for z, Jv in samples]
-    report = MultiplierReport(K_terms=K_terms, min_ratio=min(ratios) if ratios else 1.0,
+    report = MultiplierReport(K_terms=K_terms, min_ratio=min(ratios),
                               c_fitted=c, sign_flip=sign_flip, samples=tuple(samples),
                               tail_ratio=tail_ratio,
                               converged=tail_ratio <= _MULTIPLIER_TARGET)

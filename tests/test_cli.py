@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -241,6 +242,19 @@ def test_ode_solve_reads_a_decimal_coefficient_exactly(tmp_path):
     assert code == 0
     coefficients = json.loads((out / "ode_solve.json").read_text())["coefficients"]
     assert coefficients[:4] == ["1", "3/4", "3/16", "3/128"]
+
+
+def test_ode_solve_keeps_a_free_fp_constant_at_zero(tmp_path):
+    code, out = run(["ode-solve", "--op", "t^2*D^2+2*t*D", "--basis", "fp"], tmp_path)
+    assert code == 0
+    record = json.loads((out / "ode_solve.json").read_text())
+    assert record["coefficients"] == ["1"] + ["0"] * 10
+
+
+def test_parse_operator_refuses_a_huge_exponent():
+    with pytest.raises(cli.UsageError, match="exceeds 400"):
+        cli.parse_operator("t^2*D-1.0e999999999")
+    assert cli.parse_operator("t*D-1e400").terms[0] == (0, 0, -Fraction(10) ** 400)
 
 
 def test_realize_of_zero_moments_exits_0(tmp_path):

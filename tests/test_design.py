@@ -8,7 +8,7 @@ import hypercalc
 # new option or added code raises its number in the same diff that gives the
 # reason.
 SETTABLE_VALUES = 80
-SOURCE_LINES = 4655
+SOURCE_LINES = 4661
 
 
 def _is_dataclass(cls):

@@ -119,9 +119,17 @@ def test_root_test_detects_inadmissible():
 
 
 def test_inconsistent_system_raises():
-    with pytest.raises(od.RecurrenceError):
+    # t D 1 = 0 leaves the constant free, but t D f.p. 1/t = -f.p. 1/t stays
+    with pytest.raises(od.RecurrenceError, match="no formal solution"):
         od.solve_series(od.PolyCoeffOperator(((1, 1, 1),), label="t*D"),
                         "fp", init=1, N=10)
+
+
+def test_fp_constant_in_the_kernel_stays_zero():
+    # (t^2 D^2 + 2 t D) f.p. 1/t = 0 and it maps the constant to 0 as well
+    L = od.PolyCoeffOperator(((2, 2, 1), (1, 1, 2)), label="t^2*D^2+2*t*D")
+    sol = od.solve_series(L, "fp", init=1, N=6)
+    assert sol.coefficients == (1,) + (0,) * 6 and sol.constant == 0
 
 
 # L = sum c t^m D^j with 1-3 terms, m <= 3, j <= 2, small nonzero rational c
@@ -136,7 +144,15 @@ def test_solve_series_leaves_no_visible_residual(terms, basis, data):
     N = data.draw(st.integers(max(m for m, _, _ in terms), 12), label="N")
     try:
         sol = od.solve_series(L, basis, Fraction(1), N)
-    except od.RecurrenceError:
+    except od.RecurrenceError as err:
+        # a raise is a leftover residual or a column of a_1..a_N that shows
+        # nothing; an fp constant with L 1 = 0 is free and must not raise
+        if "no formal solution" in str(err):
+            return
+        units = [{n + 1: 1} for n in range(1, N + 1)]
+        assert any(not [k for k in od.apply_operator(
+            L, od.FormalLaurentTail(basis, unit, 2 * N + 8)).coefficients
+            if k >= 1 or basis == "fp"] for unit in units), err
         return
     exact = sol.coefficients + ((sol.constant,) if basis == "fp" else ())
     assert all(isinstance(a, Fraction) for a in exact)
