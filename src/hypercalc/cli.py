@@ -113,7 +113,8 @@ def parse_operator(text: str) -> od.PolyCoeffOperator:
     s = _text(text).replace(" ", "")
     if not s:
         raise UsageError("operator string is empty")
-    pieces = re.findall(r"[+-]?[^+-]+", s)
+    # a sign directly after a digit and e/E belongs to an exponent, as in 1e-3
+    pieces = re.findall(r"[+-]?(?:[^+-]|(?<=\d[eE])[+-])+", s)
     terms = {}
     for piece in pieces:
         sign = -1 if piece.startswith("-") else 1
@@ -131,7 +132,7 @@ def parse_operator(text: str) -> od.PolyCoeffOperator:
                 j += int(md.group(1) or 1)
             else:
                 # Fraction builds 10**exp at once, so bound the exponent first
-                exp = re.search(r"[eE]([\d_]+)$", factor)
+                exp = re.search(r"[eE][+-]?([\d_]+)$", factor)
                 try:
                     if exp and int(exp.group(1)) > 400:
                         raise UsageError(f"exponent of factor {factor!r} exceeds 400 "
@@ -332,8 +333,7 @@ _MULTIPLIER_PHIS = {
 
 def cmd_multiplier(opts: Options, rep: Report):
     name = opts["phi"]
-    J, info = sp.build_multiplier(_MULTIPLIER_PHIS[name],
-                                  zeta_max=opts["zeta_max"], label=f"J[{name}]")
+    info = sp.build_multiplier(_MULTIPLIER_PHIS[name], zeta_max=opts["zeta_max"])
     rep.put(phi=name, K_terms=info.K_terms, min_ratio=info.min_ratio,
             c_fitted=info.c_fitted, sign_flip=info.sign_flip,
             tail_ratio=info.tail_ratio, converged=info.converged)
@@ -344,8 +344,8 @@ def cmd_multiplier(opts: Options, rep: Report):
     rep.say(f"(zeta_max/m_K)^2 = {info.tail_ratio:.3g}; "
             f"converged to 1e-16: {info.converged}")
     # finite-order application cross-check: (1 - D^2) on delta against phi
-    J2 = hy.LocalOperator(coefficients=(1.0, 0.0, -1.0), label="1-D^2")
-    g = hy.apply_local_operator(J2, hy.delta_derivative(0))
+    J = hy.LocalOperator(coefficients=(1.0, 0.0, -1.0), label="1-D^2")
+    g = hy.apply_local_operator(J, hy.delta_derivative(0))
     phi = cp.test_suite()[0]
     got = hy.pair(g, phi)
     want = phi.derivative_at(0.0, 0) - phi.derivative_at(0.0, 2)

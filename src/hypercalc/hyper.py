@@ -12,6 +12,7 @@ solutions).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -95,14 +96,11 @@ class LocalOperator:
 
     Finitely many coefficients are stored; an optional ``tail`` generator
     extends them to an infinite-order operator, which must satisfy the root
-    condition (|b_n| n!)^(1/n) -> 0 to act locally.  Alternatively the
-    operator may be given purely through its Fourier ``symbol_fn``, with no
-    coefficients: it then has no finite order and cannot be applied.
+    condition (|b_n| n!)^(1/n) -> 0 to act locally.
     """
 
     coefficients: tuple = (1.0,)
     tail: Optional[Callable[[int], complex]] = None
-    symbol_fn: Optional[Callable] = None
     label: str = ""
 
     def coefficient(self, n: int) -> complex:
@@ -114,8 +112,7 @@ class LocalOperator:
 
     @property
     def finite_order(self) -> Optional[int]:
-        return (None if self.tail is not None or not self.coefficients
-                else len(self.coefficients) - 1)
+        return None if self.tail is not None else len(self.coefficients) - 1
 
     def check_admissible(self):
         """Finite operators are always local.  For an infinite tail, (|b_n|
@@ -128,13 +125,6 @@ class LocalOperator:
                 b <= a + 1e-12 for a, b in zip(vals, vals[1:]))):
             raise AdmissibilityError(
                 "coefficient root test (|b_n| n!)^(1/n) is not decreasing toward 0")
-
-    def adjoint(self) -> "LocalOperator":
-        gen, fn = self.tail, self.symbol_fn  # b_n (-1)^n, and J*(zeta) = J(-zeta)
-        return LocalOperator(tuple(c * (-1) ** n for n, c in enumerate(self.coefficients)),
-                             tail=None if gen is None else lambda n: gen(n) * (-1) ** n,
-                             symbol_fn=None if fn is None else lambda zeta: fn(-zeta),
-                             label=f"{self.label}*")
 
     def apply_to_expr(self, e: ex.Expr) -> ex.Expr:
         if self.finite_order is None:
@@ -171,15 +161,21 @@ def laurent_polynomial(coefficients, at: float = 0.0) -> ex.Expr:
     return ex.simplify(total)
 
 
-def delta_combination(coefficients, at: float = 0.0,
-                      growth: GrowthClass = GrowthClass.tempered(-1.0),
+def delta_combination(terms, growth: GrowthClass = GrowthClass.tempered(-1.0),
                       label: str = "") -> Hyperfunction1D:
-    """sum c_n delta^(n)(x - at) for ``coefficients`` = {n: c_n}: one
-    delta-like pair F_plus = F_minus = sum c_n (-1/2 pi i) (-1)^n n! / (z - at)^(n+1)."""
-    f = laurent_polynomial({n + 1: c * (-1.0 / TWO_PI_I) * (-1.0) ** n * math.factorial(n)
-                            for n, c in coefficients.items()}, at)
-    return Hyperfunction1D(f_plus=f, f_minus=f, strip=math.inf, growth=growth,
-                           label=label, point_support=at)
+    """sum c delta^(m)(x - a) over (a, m, c) ``terms``, the coefficients of
+    each (a, m) summed first: F_plus = F_minus = sum c (-1/2 pi i) (-1)^m m!
+    / (z - a)^(m+1).  A sum at one point a is delta-like there; a sum at
+    several points has no point support and pairs by the line route."""
+    points = {}
+    for a, m, c in terms:
+        row = points.setdefault(a, {})
+        row[m] = row.get(m, 0) + c
+    f = functools.reduce(ex.Add, [laurent_polynomial(
+        {m + 1: c * (-1.0 / TWO_PI_I) * (-1.0) ** m * math.factorial(m)
+         for m, c in row.items()}, a) for a, row in points.items()] or [ex._ZERO])
+    return Hyperfunction1D(f_plus=f, f_minus=f, strip=math.inf, growth=growth, label=label,
+                           point_support=next(iter(points)) if len(points) == 1 else None)
 
 
 def delta_derivative(n: int = 0, at: float = 0.0) -> Hyperfunction1D:
@@ -187,7 +183,7 @@ def delta_derivative(n: int = 0, at: float = 0.0) -> Hyperfunction1D:
     if n < 0:
         raise ValueError("order must be nonnegative")
     return delta_combination(
-        {n: 1.0}, at, GrowthClass.tempered(-(n + 1), constant=math.factorial(n)),
+        [(at, n, 1.0)], GrowthClass.tempered(-(n + 1), constant=math.factorial(n)),
         f"delta^({n})" + (f"@{at:g}" if at else ""))
 
 
@@ -476,8 +472,6 @@ def apply_local_operator(op: LocalOperator, f: Hyperfunction1D) -> Hyperfunction
             raise TypeError("symbolic application needs expression branches")
         return replace(f, f_plus=op.apply_to_expr(f.f_plus),
                        f_minus=op.apply_to_expr(f.f_minus), label=label)
-    if op.tail is None:  # known only through its symbol
-        raise AdmissibilityError(f"{op.label or 'J'} has no coefficients to apply")
     if not f.is_asymptotic:
         raise AdmissibilityError(
             "infinite-order operators require an asymptotic hyperfunction")

@@ -54,7 +54,7 @@ class PolyCoeffOperator:
                 raise ValueError(f"duplicate term (m={m}, j={j})")
             seen.add((m, j))
 
-    def adjoint_applied(self, phi: ex.Expr) -> ex.Expr:
+    def apply_adjoint(self, phi: ex.Expr) -> ex.Expr:
         """L* phi = sum c (-d/dt)^j (t^m phi), symbolically."""
         z = ex.Var("z")
         total = ex._ZERO
@@ -137,19 +137,23 @@ def solve_series(L: PolyCoeffOperator, basis: str, init, N: int) -> SeriesSoluti
     The arithmetic is exact: init and L's coefficients become Fractions.  A
     coordinate tau^-k is visible when the parity can show it: k >= 1 for the
     delta parity (an entire part cancels in F+ - F-) and every k for fp.
-    Each unknown after a_0, the constant last, cancels the residual at the
-    lowest visible coordinate of its column L e_n.  A column of a_1..a_N with
-    none raises ``RecurrenceError``; an empty column of the constant (L 1 = 0)
+    L e_n reaches tau^-(n + 1 + j - m) for each term, so the coordinates
+    k <= N take a_0..a_M with M = N + max(0, max(m - j) - 1); all of them
+    are unknowns, a_(N+1)..a_M kept in the tail only.  Each unknown after
+    a_0, the constant last, cancels the residual at the lowest visible
+    coordinate of its column L e_n.  A column of a_1..a_N with none raises
+    ``RecurrenceError``; one of a_(N+1)..a_M or of the constant (L 1 = 0)
     leaves it free, and it stays 0.  A residual left at a visible k <= N
     raises too (coordinates above N are truncation artifacts).
     """
     if basis not in ("delta", "fp"):
         raise ValueError(f"unknown basis {basis!r}")
     L = PolyCoeffOperator(tuple((m, j, _exact(c)) for m, j, c in L.terms), L.label)
-    n_max = N + 1 + max(j for _, j, _ in L.terms) + max(m for m, _, _ in L.terms)
+    M = N + max(0, max(m - j for m, j, _ in L.terms) - 1)
+    n_max = M + 1 + max(j for _, j, _ in L.terms) + max(m for m, _, _ in L.terms)
     # e_n: delta^(n) has Gtilde_{n+1} = (-1)^n n!, f.p. t^-(n+1) has Gtilde_{n+1} = 1
     units = [{n + 1: (-1) ** n * math.factorial(n) if basis == "delta" else 1}
-             for n in range(N + 1)] + ([{0: 1}] if basis == "fp" else [])
+             for n in range(M + 1)] + ([{0: 1}] if basis == "fp" else [])
 
     def visible(k):
         return k >= 1 or basis == "fp"
@@ -163,7 +167,7 @@ def solve_series(L: PolyCoeffOperator, basis: str, init, N: int) -> SeriesSoluti
             pivot = min((k for k in col if visible(k)), default=None)
             if pivot is not None:
                 value = -residual.get(pivot, 0) / col[pivot]
-            elif n > N:  # L 1 = 0: the constant is free and stays 0
+            elif n > N:  # touches no checked coordinate: free, and it stays 0
                 value = Fraction(0)
             else:
                 raise RecurrenceError(f"L e_{n} has no visible coordinate")
@@ -187,9 +191,9 @@ def solve_series(L: PolyCoeffOperator, basis: str, init, N: int) -> SeriesSoluti
                                     zip(half, half[1:])) and half[-1] < 0.5
 
     tail = FormalLaurentTail(basis, {k: value * g for value, unit in zip(values, units)
-                                     for k, g in unit.items() if value}, n_max=N + 1)
+                                     for k, g in unit.items() if value}, n_max=M + 1)
     return SeriesSolution(basis=basis, coefficients=tuple(a),
-                          constant=values[N + 1] if basis == "fp" else 0,
+                          constant=values[M + 1] if basis == "fp" else 0,
                           admissible=admissible, tail=tail)
 
 
@@ -286,7 +290,7 @@ def _adjoint_test_function(L: PolyCoeffOperator, phi: TestFunction) -> TestFunct
         growth = GrowthClass.exp_decay
     constant = g.constant * shift * sum(
         abs(complex(c)) * math.factorial(j) * rho ** -j * peak(m) for m, j, c in L.terms)
-    return TestFunction(L.adjoint_applied(phi.expr), strip_halfwidth=rho,
+    return TestFunction(L.apply_adjoint(phi.expr), strip_halfwidth=rho,
                         growth=growth(0.5 * a, constant), label=f"L*({phi.label})")
 
 

@@ -218,28 +218,17 @@ def _weighted_projection(f: SmoothRapid, omega, abs_tol: float):
 # the transform
 
 
-def _delta_combo_slice(f: DeltaCombo, omega) -> Hyperfunction1D:
-    """J(omega D_t) delta(t - a.omega) summed over sources, symbolically."""
-    coeffs, supports, at = {}, set(), 0.0
-    for adot, m, c in _projected_terms(f, omega):
-        supports.add(round(adot, 12))
-        at = adot
-        coeffs[m] = coeffs.get(m, 0) + c
-    if len(supports) > 1:
-        raise NotImplementedError(
-            "sources with distinct projected supports need one slice per point")
-    return hy.delta_combination(coeffs, at, label=f"radon({f.label})")
-
-
 def radon_transform(f: MultiDimFunction, omega, abs_tol: float = 1e-9) -> RadonSlice:
-    """Slice hyperfunction of f in direction omega.  For a smooth f, G sums
+    """Slice hyperfunction of f in direction omega.  A delta combination's
+    slice is ``hyper.delta_combination`` of its projected terms, delta-like
+    when they share one point t = a.omega.  For a smooth f, G sums
     the memoized projection against 1 / (tau - u) = (d - i y) / (d^2 + y^2),
     d = Re tau - u, in real arithmetic at each height y, and refines from
     128 u-points on every call; past ``U_POINTS_CAP`` it raises."""
     omega = _check_unit(omega, f.dimension)
     if isinstance(f, DeltaCombo):
-        return RadonSlice(omega=omega, hyper=_delta_combo_slice(f, omega),
-                          label=f.label)
+        return RadonSlice(omega=omega, hyper=hy.delta_combination(
+            _projected_terms(f, omega), label=f"radon({f.label})"), label=f.label)
 
     weighted = _weighted_projection(f, omega, abs_tol)
 
@@ -411,11 +400,6 @@ def example_point_coefficient(src: PointSource, omega, k: int):
 
 def defining_function_value(f: MultiDimFunction, omega, tau: complex) -> complex:
     """G(omega, tau) off the real axis."""
-    omega = _check_unit(omega, f.dimension)
-    if isinstance(f, DeltaCombo):
-        return sum((c * (-1.0 / TWO_PI_I) * (-1.0) ** m * math.factorial(m)
-                    / (tau - adot) ** (m + 1)
-                    for adot, m, c in _projected_terms(f, omega)), 0j)
     return complex(radon_transform(f, omega).hyper.f_plus(tau))
 
 

@@ -179,7 +179,7 @@ class AsymptoticSum:
 
     def realize(self) -> Hyperfunction1D:
         """The delta-combination as one delta-like hyperfunction at 0."""
-        return hy.delta_combination(dict(enumerate(self.coefficients)),
+        return hy.delta_combination([(0.0, n, c) for n, c in enumerate(self.coefficients)],
                                     label=f"S^{self.order}({self.label})")
 
 
@@ -518,28 +518,23 @@ class MultiplierReport:
 
 
 def build_multiplier(phi_table: Callable[[float], float],
-                     K_terms: Optional[int] = None, zeta_max: float = 10.0,
-                     label: str = "J"):
-    """Truncated product J(zeta) = prod_k (1 + zeta^2 / (k phi(k))^2).
+                     zeta_max: float = 10.0) -> MultiplierReport:
+    """Truncated product J(zeta) = prod_k (1 + zeta^2 / (k phi(k))^2), k <= K.
 
-    Returns (LocalOperator, MultiplierReport).  Without ``K_terms``, K grows
-    until (zeta_max / m_K)^2 <= 1e-16 or K passes 200000; the report carries
-    the ratio reached and whether it met 1e-16.  The report samples the lower
+    K grows until (zeta_max / m_K)^2 <= 1e-16 or K passes 200000; the report
+    carries the ratio reached and whether it met 1e-16.  It samples the lower
     bound |J(zeta)| e^(-c |zeta| / phi(|zeta|+1)) on the rays arg zeta = 0,
     +-30 degrees, inside |Im zeta| <= max(|Re zeta|/sqrt(3), 1).
     """
     probe = [phi_table(float(k)) for k in range(1, 51)]
     if any(p <= 0 for p in probe) or any(b < a - 1e-12 for a, b in zip(probe, probe[1:])):
         raise ValueError("phi_table must be positive and monotone increasing")
-    if K_terms is None:
-        K_terms = 1
-        while K_terms < _MULTIPLIER_CAP:
-            r = zeta_max / (K_terms * phi_table(float(K_terms)))
-            if r * r <= _MULTIPLIER_TARGET:  # r ** 2 would raise on overflow
-                break
-            K_terms += max(1, K_terms // 8)
-    if K_terms < 1:
-        raise ValueError("K_terms must be >= 1")
+    K_terms = 1
+    while K_terms < _MULTIPLIER_CAP:
+        r = zeta_max / (K_terms * phi_table(float(K_terms)))
+        if r * r <= _MULTIPLIER_TARGET:  # r ** 2 would raise on overflow
+            break
+        K_terms += max(1, K_terms // 8)
     r = zeta_max / (K_terms * phi_table(float(K_terms)))
     tail_ratio = r * r
     ms = np.array([k * phi_table(float(k)) for k in range(1, K_terms + 1)])
@@ -558,17 +553,6 @@ def build_multiplier(phi_table: Callable[[float], float],
             out = out * np.prod(1.0 + np.multiply.outer(z2, chunk), axis=-1)
         return out if np.ndim(zeta) else complex(out)
 
-    coefficients = ()  # known only through its symbol
-    if K_terms <= 24:
-        p = [1.0]  # polynomial in zeta^2
-        for im2 in inv_m2:
-            p = [a + im2 * b for a, b in
-                 zip(p + [0.0], [0.0] + p)]
-        b = [0.0] * (2 * len(p) - 1)
-        for j, pj in enumerate(p):
-            b[2 * j] = (-1.0) ** j * pj  # (i zeta)^(2j) = (-1)^j zeta^(2j)
-        coefficients = tuple(b)
-
     # lower-bound sampling on the validity region
     samples = []
     sign_flip = False
@@ -586,12 +570,10 @@ def build_multiplier(phi_table: Callable[[float], float],
     c = 0.5 * min(rates)
     ratios = [abs(Jv) * math.exp(-c * abs(z) / phi_table(abs(z) + 1.0))
               for z, Jv in samples]
-    report = MultiplierReport(K_terms=K_terms, min_ratio=min(ratios),
-                              c_fitted=c, sign_flip=sign_flip, samples=tuple(samples),
-                              tail_ratio=tail_ratio,
-                              converged=tail_ratio <= _MULTIPLIER_TARGET)
-    op = LocalOperator(coefficients, symbol_fn=symbol, label=label)
-    return op, report
+    return MultiplierReport(K_terms=K_terms, min_ratio=min(ratios),
+                            c_fitted=c, sign_flip=sign_flip, samples=tuple(samples),
+                            tail_ratio=tail_ratio,
+                            converged=tail_ratio <= _MULTIPLIER_TARGET)
 
 
 # ---------------------------------------------------------------------------
@@ -639,18 +621,17 @@ def _tail_kernel(x, xi_max):
 
 @dataclass(frozen=True)
 class StructuralRep:
-    weight: LocalOperator  # the fixed 1 - D^2 factor
     x_grid: np.ndarray
     f0_values: np.ndarray
     f0: Callable
     xi_max: float
 
     def reconstruct_pairing(self, phi: TestFunction) -> complex:
-        """int f0 (W* phi) dx to abs_tol 1e-8; should match pair(f, phi) of
-        the input f."""
+        """int f0 ((1 - D^2) phi) dx to abs_tol 1e-8, 1 - D^2 being its own
+        adjoint; should match pair(f, phi) of the input f."""
         if not isinstance(phi.expr, ex.Expr):
             raise TypeError("verification needs an expression test function")
-        combined = self.weight.adjoint().apply_to_expr(phi.expr)
+        combined = LocalOperator((1.0, 0.0, -1.0)).apply_to_expr(phi.expr)
         lim = float(self.x_grid[-1])
 
         def integrand(x):
@@ -731,6 +712,5 @@ def structural_representation(f: Hyperfunction1D) -> StructuralRep:
     f0_vals, _, level = refine(on_grid, 1, 8, abs_tol, "structural f0 grid",
                                f"halves of its {panels} panels")
 
-    weight = LocalOperator((1.0, 0.0, -1.0), label="1-D^2")
-    return StructuralRep(weight=weight, x_grid=grid,
+    return StructuralRep(x_grid=grid,
                          f0_values=f0_vals, f0=f0_at[level], xi_max=xi_max)

@@ -227,6 +227,8 @@ def test_unknown_keys_and_malformed_values_exit_2(tmp_path, capsys, command,
     # the polynomial part of t^3 D f.p. 1/t, which the fp parity shows
     (["ode-solve", "--op", "t^3*D-1", "--basis", "fp"], 1,
      "no formal solution: residual -1 at tau^1"),
+    (["ode-solve", "--op", "t^2*D-1e-500"], 2, "exponent of factor '1e-500' exceeds 400"),
+    (["ode-solve", "--op", "t^2*D-1e+500"], 2, "exponent of factor '1e+500' exceeds 400"),
 ])
 def test_inputs_outside_a_domain_end_in_one_error_line(tmp_path, capsys, argv, code,
                                                        message):
@@ -255,6 +257,11 @@ def test_parse_operator_refuses_a_huge_exponent():
     with pytest.raises(cli.UsageError, match="exceeds 400"):
         cli.parse_operator("t^2*D-1.0e999999999")
     assert cli.parse_operator("t*D-1e400").terms[0] == (0, 0, -Fraction(10) ** 400)
+
+
+def test_parse_operator_reads_a_signed_exponent():
+    assert cli.parse_operator("t^2*D-1e-3").terms == ((0, 0, Fraction(-1, 1000)), (2, 1, 1))
+    assert cli.parse_operator("t^2*D+2.5e-1*t").terms == ((1, 0, Fraction(1, 4)), (2, 1, 1))
 
 
 def test_realize_of_zero_moments_exits_0(tmp_path):

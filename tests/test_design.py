@@ -7,8 +7,8 @@ import hypercalc
 # Settable values and source lines after the last change that moved them.  A
 # new option or added code raises its number in the same diff that gives the
 # reason.
-SETTABLE_VALUES = 80
-SOURCE_LINES = 4661
+SETTABLE_VALUES = 76
+SOURCE_LINES = 4623
 
 
 def _is_dataclass(cls):

@@ -28,7 +28,7 @@ def test_delta_pairing_identity():
 
 def test_delta_combination_pairs_as_its_derivative_sum():
     coefficients = {0: 2.0, 1: -1.0, 3: 0.5}
-    f = hy.delta_combination(coefficients, at=0.3)
+    f = hy.delta_combination([(0.3, n, c) for n, c in coefficients.items()])
     assert f.point_support == 0.3
     for phi in SUITE:
         want = sum(c * (-1.0) ** n * phi.derivative_at(0.3, n)

@@ -132,6 +132,20 @@ def test_fp_constant_in_the_kernel_stays_zero():
     assert sol.coefficients == (1,) + (0,) * 6 and sol.constant == 0
 
 
+@pytest.mark.parametrize("terms", [((3, 0, 1), (0, 1, 1)), ((3, 0, 1), (0, 0, 1)),
+                                   ((2, 0, 1), (0, 1, 1)), ((3, 1, 2), (0, 0, -1))])
+def test_solution_does_not_depend_on_the_order(terms):
+    # t^3 + D, t^3 + 1, t^2 + D, 2 t^3 D - 1: a term with m >= j + 2 lets the
+    # coordinates k <= N take a_(N+1), a_(N+2), ..., which must be unknowns too
+    L = od.PolyCoeffOperator(terms)
+    longest = od.solve_series(L, "delta", 1, 13).coefficients
+    for N in range(3, 13):
+        sol = od.solve_series(L, "delta", 1, N)
+        assert sol.coefficients == longest[:N + 1], N
+        applied = od.apply_operator(L, sol.tail).coefficients
+        assert not [k for k, v in applied.items() if v and 1 <= k <= N], N
+
+
 # L = sum c t^m D^j with 1-3 terms, m <= 3, j <= 2, small nonzero rational c
 _terms = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
                             st.fractions(-3, 3, max_denominator=4).filter(bool)),
@@ -190,7 +204,7 @@ def test_residual_check_flags_non_solution():
 
 def test_adjoint_application():
     phi = SUITE[0]
-    g = L.adjoint_applied(phi.expr)
+    g = L.apply_adjoint(phi.expr)
     import hypercalc.expr as ex
     # L* phi = -d/dt(t^2 phi) - phi; check at a sample point
     t = 0.7

@@ -342,6 +342,23 @@ def test_projected_delta_terms_agree_across_routes():
     assert abs(moment - rd.slice_moment(f, omega, k)) <= 1e-9
 
 
+@pytest.mark.parametrize("omega", [(0.6, 0.8), (1.0, 0.0), (-0.28, 0.96)])
+def test_slice_of_sources_at_two_projected_points(omega):
+    a, b = (Fraction(1, 2), Fraction(1, 3)), (Fraction(-1, 4), Fraction(1, 5))
+    f = rd.DeltaCombo((rd.PointSource({(0, 0): 1, (1, 0): 2}, a),
+                       rd.PointSource({(0, 1): -1}, b)), dimension=2, label="two_points")
+    phi = SUITE[0]
+    slice_h = rd.radon_transform(f, omega).hyper
+    assert slice_h.point_support is None
+    # delta(t - a.omega) + 2 omega1 delta'(t - a.omega) - omega2 delta'(t - b.omega)
+    at_a, at_b = (sum(float(p) * o for p, o in zip(q, omega)) for q in (a, b))
+    want = (phi.derivative_at(at_a, 0) - 2 * omega[0] * phi.derivative_at(at_a, 1)
+            + omega[1] * phi.derivative_at(at_b, 1))
+    direct = hy.pair(slice_h, phi)
+    assert abs(direct - want) <= 1e-10
+    assert abs(direct - hy.pair(rd.radon_via_fourier(f, omega), phi)) <= 1e-10
+
+
 def test_smooth_rapid_keeps_real_points_real():
     f = MD["skew_gauss2"]
     pts = np.array([[0.25, -0.5], [1.0, 2.0], [-1.5, 0.0]])
