@@ -51,6 +51,8 @@ class Hyperfunction1D:
     restrictions of a single function holomorphic on the strip minus that
     real point, so pairings may deform to a circle contour around it.
     A pairing's tail is certified from the declared ``growth`` alone.
+    ``source`` is the Fourier-side field g of an f = inverse_fourier(g),
+    through which such an f pairs by duality (``g.pair_inverse``).
     """
 
     f_plus: Callable
@@ -59,6 +61,7 @@ class Hyperfunction1D:
     growth: GrowthClass = GrowthClass.asymptotic()
     label: str = ""
     point_support: Optional[float] = None
+    source: Optional[Callable] = None
 
     @property
     def is_delta_like(self):
@@ -250,14 +253,18 @@ def _geometric_breakpoints(radius):
     return pts
 
 
+def _line_height(strip: float, spec: ContourSpec) -> float:
+    """Im z of a pairing's lines: half the strip (0.5 for an infinite one),
+    or ``spec.imag_offset`` when that is positive and lower."""
+    cap = 0.5 * strip if math.isfinite(strip) else 0.5
+    return min(spec.imag_offset, cap) if spec.imag_offset > 0 else cap
+
+
 def _pair_lines(f: Hyperfunction1D, phi: TestFunction, spec: ContourSpec):
     """(<f, phi>, error bound): the bracket F_plus phi - F_minus phi on Im z =
     +-eta over |Re z| <= R, R from ``spec`` or ``auto_radius``; the bound
     adds the certified tail past R to the quadrature's error estimate."""
-    strip_cap = 0.5 * min(f.strip, phi.strip_halfwidth)
-    if not math.isfinite(strip_cap):
-        strip_cap = 0.5
-    eta = min(spec.imag_offset, strip_cap) if spec.imag_offset > 0 else strip_cap
+    eta = _line_height(min(f.strip, phi.strip_halfwidth), spec)
 
     def bracket(x):
         z = x + 1j * eta
@@ -297,9 +304,12 @@ def pair(f: Hyperfunction1D, phi: TestFunction, spec: Optional[ContourSpec] = No
 
 
 def pair_with_error(f, phi, spec=None, force_lines=False):
-    """(<f, phi>, error bound): the circle route for delta-like f unless
-    ``force_lines``, else the two-line route."""
+    """(<f, phi>, error bound): unless ``force_lines``, the duality route for
+    an inverse transform and the circle route for delta-like f; else the
+    two-line route."""
     spec = spec or ContourSpec()
+    if f.source is not None and not force_lines:
+        return f.source.pair_inverse(phi, spec)
     if f.is_delta_like and not force_lines:
         radius = 0.45 * min(phi.strip_halfwidth, 1.0)
         return _pair_circle(f, phi, radius, spec.abs_tol)
@@ -459,7 +469,8 @@ def apply_local_operator(op: LocalOperator, f: Hyperfunction1D) -> Hyperfunction
     u = r e^(i theta), r = min(|y|, strip - |y|, 1) / 2 (``ValueError`` if
     r <= 0), doubled from 16 to at most 2^14 by ``refine`` until two passes
     agree within each point's rounding floor, 64 eps mean|F K| at 16 nodes.
-    The result keeps f's strip and kind and has no point support.  By Cauchy's
+    The result keeps f's strip and kind and has no point support or
+    ``source``: J(D) F^-1 g is not F^-1 g.  By Cauchy's
     estimate on radius r_c = min(strip, 1) / 4, where r >= r_c (as at the
     default pairing height when phi's strip is at least f's), the constant
     takes sum_n |b_n| n! r_c^(-n) and the envelope's shift over r_c: e^(d r_c)
@@ -471,7 +482,7 @@ def apply_local_operator(op: LocalOperator, f: Hyperfunction1D) -> Hyperfunction
         if not (isinstance(f.f_plus, ex.Expr) and isinstance(f.f_minus, ex.Expr)):
             raise TypeError("symbolic application needs expression branches")
         return replace(f, f_plus=op.apply_to_expr(f.f_plus),
-                       f_minus=op.apply_to_expr(f.f_minus), label=label)
+                       f_minus=op.apply_to_expr(f.f_minus), label=label, source=None)
     if not f.is_asymptotic:
         raise AdmissibilityError(
             "infinite-order operators require an asymptotic hyperfunction")
@@ -501,4 +512,4 @@ def apply_local_operator(op: LocalOperator, f: Hyperfunction1D) -> Hyperfunction
     growth = replace(g, rate=g.rate / 2.0 if g.kind == "gaussian" else g.rate, constant=(
         g.constant * shift * float(np.abs(_cauchy_kernel(op, r_c)).sum())))
     return replace(f, f_plus=branch(f.f_plus), f_minus=branch(f.f_minus), growth=growth,
-                   label=label, point_support=None)
+                   label=label, point_support=None, source=None)

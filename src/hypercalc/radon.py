@@ -165,11 +165,6 @@ def _projected_terms(f: DeltaCombo, omega):
             yield adot, sum(alpha), c
 
 
-# f's points per projection block: f runs in float64 on real points, 2 MB an
-# axis and a temporary, and the projection stays real up to the slice's
-# Cauchy sum or the ray's exp_sum.  The Cauchy sums keep in_row_blocks' 2^15:
-# 2^18 there too raised `symbolic_pairing`'s peak RSS by 20%.
-_PROJECTION_BLOCK = 1 << 18
 U_POINTS_CAP = 1 << 15  # u-points of a slice's or a ray's finest level
 
 
@@ -199,7 +194,7 @@ def _weighted_projection(f: SmoothRapid, omega, abs_tol: float):
             vals = f(*[np.add.outer(u * o, p) for o, p in zip(omega, plane)])
             return vals.sum(axis=1) * (v.weights[0] ** (n - 1) * rule.weights[0])
 
-        return rule, in_row_blocks(rows, rule.points, len(plane[0]), _PROJECTION_BLOCK)
+        return rule, in_row_blocks(rows, rule.points, len(plane[0]))
 
     def weighted(u_points):
         nonlocal across
@@ -258,7 +253,8 @@ def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
     combination the closed form of ``spectral.delta_sum_field`` over its
     projected terms; for a smooth f, exp sums over its own memoized
     projection, from the least power of two of u-points >= max(16, 2 extent
-    peak / pi), a step below pi / peak.  A non-finite rho raises ``ValueError``."""
+    peak / pi), a step below pi / peak, whose ``powers`` are its L1 norm at
+    128 u-points.  A non-finite rho raises ``ValueError``."""
     omega = _check_unit(omega, f.dimension)
     if isinstance(f, DeltaCombo):
         return sp.delta_sum_field(_projected_terms(f, omega), f"ray({f.label})")
@@ -281,12 +277,10 @@ def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
         return refine(evaluate, start, U_POINTS_CAP, 1e-10,
                       f"Fourier ray table (|rho| up to {peak:g})", "u-points")[0]
 
-    v0, v4, v8 = np.abs(table(np.array([0.0, 4.0, 8.0])))
-    rate = 0.25
-    if v4 > 1e-300 and v8 > 1e-300:
-        rate = max(0.05, min(2.0, math.log(v4 / v8) / 4.0))
+    # |hat f(rho omega)| <= sum |p(u) w|, the projection's L1 norm, at every rho
+    l1 = float(np.abs(weighted(128)[1]).sum())
     return sp.SmoothField(sp.order0(table), table=table, label=f"ray({f.label})",
-                          growth=GrowthClass.exp_decay(rate, constant=10.0 * (v0 + 1.0)))
+                          powers=(l1,))
 
 
 def radon_via_fourier(f: MultiDimFunction, omega) -> Hyperfunction1D:

@@ -5,24 +5,22 @@ smooth function, computed here by contour pairing against e^(-i z xi), or in
 closed form when the input is delta-like: its Laurent coefficients give the
 (point, order, coefficient) terms of a sum of delta derivatives, whose
 transform ``delta_sum_field`` builds.  A field computed by quadrature carries
-a batch ``table``, which is also its evaluator; the inverse transform samples
-such a field once and never extrapolates it, and evaluates any other field
-where it is needed.  Quadrature transforms and their derivatives come from
-one batched composite-rule evaluator: a scalar xi is a batch of one, and
+a batch ``table``, which is also its evaluator.  The inverse transform of a
+field g keeps g as its ``source`` and pairs by duality, <F^-1 g, phi> =
+(1/2 pi) int g(xi) hat phi(-xi) d xi, a trapezoid rule in xi that samples g
+through its table; its moments are i^n g^(n)(0).  Its branches, which only
+``force_lines`` pairings and direct callers reach, evaluate g where they
+need it.  Quadrature transforms and their derivatives come from one
+batched composite-rule evaluator: a scalar xi is a batch of one, and
 derivative order k inserts (-i z)^k into the integrand, never differencing.
 Transforms, inverse branches and the structural f0 evaluate their
 exp(+-i t x) sums over composite Gauss-Legendre grids with the factored
 kernel ``quad.CompositeRule.exp_sum``.
 
-The interpolation and special functions here are numpy code.  A tabulated
-field is the not-a-knot cubic spline on 2048 uniform knots: its knot slopes
-solve s_(i-1) + 4 s_i + s_(i+1) = 3 (d_(i-1) + d_i), d the chord slopes, by
-the Green's function of that stencil plus its two decaying homogeneous
-solutions, weighted to meet the not-a-knot end rows; it is evaluated by
-Horner's rule.  The 1/xi^2 tail of the structural f0 is int_a^inf e^(it) / t^2 dt = E2(-ia) / a,
-with E2(-ia) = e^(ia) + ia E1(-ia) from the power series of E1 for a <= 2
-(DLMF 6.6.2) and the continued fraction of E2 above (Numerical Recipes,
-3rd ed., section 6.3).
+The special functions here are numpy code.  The 1/xi^2 tail of the
+structural f0 is int_a^inf e^(it) / t^2 dt = E2(-ia) / a, with E2(-ia) =
+e^(ia) + ia E1(-ia) from the power series of E1 for a <= 2 (DLMF 6.6.2) and
+the continued fraction of E2 above (Numerical Recipes, 3rd ed., section 6.3).
 """
 
 from __future__ import annotations
@@ -54,60 +52,6 @@ __all__ = [
 # smooth fields on the Fourier side
 
 
-_TABLE_KNOTS = 2048  # spline knots of a tabulated field
-# points per block of a tabulated field's evaluation: its real temporaries
-# (64 KB) stay below glibc's 128 KB default mmap threshold, so they come from
-# the heap and are not mapped and faulted in afresh on every call
-_TABLE_BLOCK = 8192
-
-
-_SPLINE_ROOT = math.sqrt(3.0) - 2.0  # root of x^2 + 4x + 1 inside the unit disk
-_SPLINE_REACH = 40  # |root|^40 < 2e-23: the Green's function is cut there
-# Green's function of s_(i-1) + 4 s_i + s_(i+1) on the integers: root^|k| / (2 sqrt 3)
-_SPLINE_GREEN = (_SPLINE_ROOT ** np.abs(np.arange(-_SPLINE_REACH, _SPLINE_REACH + 1))
-                 / (2.0 * math.sqrt(3.0)))
-
-
-@lru_cache(maxsize=None)
-def _spline_end_mode(n: int) -> np.ndarray:
-    """root^i for i < n, the solution of the interior rows that decays away
-    from the first knot; reversed, the one that decays from the last."""
-    mode = _SPLINE_ROOT ** np.arange(n)
-    mode.flags.writeable = False
-    return mode
-
-
-def _spline_coefficients(lo: float, hi: float, values) -> np.ndarray:
-    """Not-a-knot cubic spline through ``values`` at len(values) >= 4 uniform
-    knots x_i on [lo, hi]: rows c3, c2, c1, c0 of the (4, n - 1) result are
-    the coefficients of (x - x_i)^3, ..., 1 on [x_i, x_(i+1)].
-
-    The knot slopes s solve the interior rows s_(i-1) + 4 s_i + s_(i+1) =
-    3 (d_(i-1) + d_i), d the chord slopes, and the end rows s_0 + 2 s_1 =
-    (5 d_0 + d_1) / 2 and 2 s_(n-2) + s_(n-1) = (d_(n-3) + 5 d_(n-2)) / 2.
-    The Green's function gives a solution of the interior rows; the two
-    decaying solutions of their homogeneous form, weighted to meet the end
-    rows, complete it.
-    """
-    y = np.asarray(values, dtype=complex)
-    n = len(y)
-    h = (hi - lo) / (n - 1)
-    chord = np.diff(y) / h
-    inner = np.zeros(n, dtype=complex)
-    inner[1:-1] = 3.0 * (chord[:-1] + chord[1:])
-    slope = np.convolve(inner, _SPLINE_GREEN)[_SPLINE_REACH:_SPLINE_REACH + n]
-    first = _spline_end_mode(n)
-    last = first[::-1]
-    rows = np.array([[first[0] + 2.0 * first[1], last[0] + 2.0 * last[1]],
-                     [2.0 * first[-2] + first[-1], 2.0 * last[-2] + last[-1]]])
-    misses = np.array([0.5 * (5.0 * chord[0] + chord[1]) - slope[0] - 2.0 * slope[1],
-                       0.5 * (chord[-2] + 5.0 * chord[-1]) - 2.0 * slope[-2] - slope[-1]])
-    a, b = np.linalg.solve(rows, misses)
-    slope = slope + a * first + b * last
-    t = (slope[:-1] + slope[1:] - 2.0 * chord) / h
-    return np.stack([t / h, (chord - slope[:-1]) / h - t, slope[:-1], y[:-1]])
-
-
 def order0(fn: Callable) -> Callable:
     """(xi, order) -> fn(xi) for a field known only at order 0."""
     def evaluator(xi, order=0):
@@ -127,41 +71,102 @@ class SmoothField:
     growth: GrowthClass = GrowthClass.infra_exponential()
     label: str = ""
     table: Optional[Callable] = None  # vectorized evaluation on a batch of xi
-    # b_m of a certified envelope |g(xi)| <= sum_m b_m |xi|^m, which then sets
-    # the inverse transform's cutoff in place of the growth constant
+    # b_m of a certified envelope |g(xi)| <= sum_m b_m |xi|^m, which then
+    # bounds the field's tails (``tail``) in place of its growth
     powers: tuple = ()
 
     def __call__(self, xi, order: int = 0):
         return self.evaluator(xi, order)
 
-    def tabulate(self, lo: float, hi: float) -> "SmoothField":
-        """Order-0 copy backed by a cubic spline on [lo, hi]; it raises
-        ``ValueError`` for any xi outside."""
-        grid = np.linspace(lo, hi, _TABLE_KNOTS)
-        coef = _spline_coefficients(lo, hi, self.evaluator(grid, 0))
-        re, im = np.ascontiguousarray(coef.real), np.ascontiguousarray(coef.imag)
-        h = (hi - lo) / (_TABLE_KNOTS - 1)
+    def tail(self, s: float) -> Callable:
+        """X -> a bound of int_X^inf |g(+-xi)| e^(-s xi) d xi, g this field: from
+        its powers, sum_m b_m Gamma(m+1, sX) / s^(m+1); else from its growth's
+        envelope: C e^s s^(-gamma-1) Gamma(gamma+1, s(1+X)) for a tempered
+        C (1+xi)^gamma with gamma > 0, else C e^(-rX) / r, r being s plus an
+        exp_decay rate or less the 1/10 of an infra-exponential envelope, and
+        raises if r <= 0."""
+        if self.powers:
+            return lambda X: sum(b * _upper_gamma(m + 1.0, s * X) / s ** (m + 1)
+                                 for m, b in enumerate(self.powers) if b)
+        g = self.growth
+        if g.kind == "tempered" and g.gamma > 0:  # t = s (1 + xi)
+            return lambda X: (g.constant * math.exp(s) * s ** (-g.gamma - 1.0)
+                              * _upper_gamma(g.gamma + 1.0, s * (1.0 + X)))
+        rate = s + {"exp_decay": g.rate, "infra_exponential": -0.1}.get(g.kind, 0.0)
+        if rate <= 0:
+            raise AdmissibilityError(f"the integral of {self.label or 'g'} against "
+                                     f"e^(-{s:g} |xi|) diverges")
+        return lambda X: g.constant * math.exp(-rate * X) / rate
 
-        def spline(xi):
-            x = np.ravel(np.real(xi))
-            if x.size and not (lo <= x.min() and x.max() <= hi):  # NaN fails too
-                raise ValueError(f"tabulated field {self.label!r} is known on "
-                                 f"[{lo:g}, {hi:g}] only")
-            out = np.empty(len(x), dtype=complex)
-            for start in range(0, len(x), _TABLE_BLOCK):
-                xb = x[start:start + _TABLE_BLOCK]
-                i = ((xb - lo) * (1.0 / h)).astype(np.intp)
-                np.minimum(i, _TABLE_KNOTS - 2, out=i)
-                dx = xb - grid.take(i)
-                for part, (c3, c2, c1, c0) in ((out.real, re), (out.imag, im)):
-                    acc = c3.take(i)  # Horner in place, on real arrays
-                    for c in (c2, c1, c0):
-                        acc *= dx
-                        acc += c.take(i)
-                    part[start:start + _TABLE_BLOCK] = acc
-            return out.reshape(np.shape(xi))
+    def pair_inverse(self, phi: TestFunction, spec: ContourSpec):
+        """(<f, phi>, error bound) for f = ``inverse_fourier(g)``, g this field,
+        by duality: <f, phi> = (1/2 pi) int g(xi) hat phi(-xi) d xi, hat phi
+        the ``fourier_transform`` of [phi, 0].
 
-        return SmoothField(order0(spline), growth=self.growth, label=f"tab({self.label})")
+        Moving that transform's line to Im x = -+s, s the height of the
+        two-line route, bounds |hat phi(xi)| by M e^(-s |xi|), M the integral
+        of phi's declared envelope.  With ``tail(s)`` this certifies the
+        integral past |xi| = X, for the least X whose bound is at most
+        abs_tol / 10.  The trapezoid rule on [-X, X] doubles its intervals
+        from 128 through ``refine`` until two levels agree within abs_tol.  g,
+        through its ``table`` when it has one, and hat phi are sampled at new
+        points only, in one call of each per level, except that the first
+        call serves the first two levels.  The bound is that agreement plus
+        the tail.
+        """
+        mass = _envelope_mass(phi.growth)
+        g_tail = self.tail(hy._line_height(phi.strip_halfwidth, spec))
+
+        def tail(X):  # both sides, each (M / 2 pi) int_X^inf |g| e^(-s xi)
+            return mass / math.pi * g_tail(X)
+
+        X = _cutoff(tail, spec.abs_tol / 10.0)
+        phi_hat = fourier_transform(Hyperfunction1D(
+            phi.expr, ex._ZERO, phi.strip_halfwidth, phi.growth, phi.label)).table
+        sample = self.table or (lambda xi: self.evaluator(xi, 0))
+
+        def at(xi):
+            return sample(xi) * phi_hat(-xi)
+
+        vals = np.empty(0, dtype=complex)  # the integrand on the finest grid sampled
+
+        def level(n):
+            nonlocal vals
+            if not vals.size:  # the first call samples levels n and 2 n
+                vals = at(X * np.linspace(-1.0, 1.0, 2 * n + 1))
+            elif len(vals) <= n:  # a later one the new, odd points of level n
+                grid = np.empty(n + 1, dtype=complex)
+                grid[::2], grid[1::2] = vals, at(X * (np.arange(1, n, 2) * 2.0 / n - 1.0))
+                vals = grid
+            on = vals[::(len(vals) - 1) // n]
+            # (h / 2 pi) times the trapezoid sum, h = 2 X / n
+            return (on.sum() - 0.5 * (on[0] + on[-1])) * X / (math.pi * n)
+
+        value, err, _ = refine(level, 128, 1 << 14, spec.abs_tol,
+                               f"duality pairing with {phi.label or 'phi'}", "intervals")
+        return complex(value), err + tail(X)
+
+
+def _envelope_mass(growth: GrowthClass) -> float:
+    """int C envelope(|x|) dx of a gaussian or exp_decay class; any other
+    class raises ``AdmissibilityError``."""
+    if growth.kind == "gaussian":
+        return growth.constant * math.sqrt(math.pi / growth.rate)
+    if growth.kind == "exp_decay":
+        return 2.0 * growth.constant / growth.rate
+    raise AdmissibilityError(f"the {growth.kind} class declares no decay rate: "
+                             "a gaussian or exp_decay envelope is needed")
+
+
+def _cutoff(tail: Callable, target: float) -> float:
+    """The least X, to a relative 1e-3, with the decreasing tail(X) <= target."""
+    lo, hi = 0.0, 1.0
+    while tail(hi) > target:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if tail(mid) <= target else (mid, hi)
+    return hi
 
 
 @dataclass(frozen=True)
@@ -243,7 +248,9 @@ def delta_sum_field(terms, label: str) -> SmoothField:
 
 
 def fourier_transform(f: Hyperfunction1D) -> SmoothField:
-    """hat f(xi) = <f, e^(-i x xi)>; infra-exponential smooth output."""
+    """hat f(xi) = <f, e^(-i x xi)>.  A one-sided f declares exp_decay at
+    half its strip (0.5 for an infinite one), with the integral of its own
+    envelope as constant; a two-sided f declares infra-exponential growth."""
     if not f.is_asymptotic:
         raise AdmissibilityError(
             "fourier_transform accepts asymptotic inputs only; tempered "
@@ -307,54 +314,36 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
         return refine(evaluate, start, cap, 1e-10,
                       f"Fourier table (|xi| up to {xi_peak:g})")[0]
 
-    scale = abs(complex(table(0.0))) + 1.0
-    growth = (GrowthClass.exp_decay(eta, constant=10.0 * scale) if one_sided
-              else GrowthClass.infra_exponential(constant=10.0 * scale))
+    if one_sided:
+        # moving the contour to height y, half the strip, under f's declared
+        # envelope: |hat f(xi)| <= e^(-y |xi|) int C envelope(|x|) dx
+        growth = GrowthClass.exp_decay(hy._line_height(f.strip, ContourSpec()),
+                                       constant=_envelope_mass(f.growth))
+    else:
+        growth = GrowthClass.infra_exponential(
+            constant=10.0 * (abs(complex(table(0.0))) + 1.0))
     return SmoothField(table, label=f"ft({f.label})", table=table, growth=growth)
 
 
 def inverse_fourier(g: SmoothField, label: str = "",
                     abs_tol: float = 1e-10) -> Hyperfunction1D:
     """Hyperfunction with F_plus(z) = (1/2 pi) int_0^X e^(i z xi) g(xi) d xi
-    for Im z > 0 and F_minus(z) = -(1/2 pi) int_{-X}^0 for Im z < 0.
+    for Im z > 0 and F_minus(z) = -(1/2 pi) int_{-X}^0 for Im z < 0, whose
+    ``source`` is g: ``pair`` takes it by duality (``SmoothField.pair_inverse``)
+    and ``moment`` from g's derivatives at 0, so only ``force_lines`` and
+    callers of the branches themselves evaluate them.
 
     The half-line integrals converge through the e^(-|Im z| xi) damping plus
     whatever decay g itself has.  Each branch is built with
     ``quad.by_height``: the cutoff X, the damping |Im z| and the start level
-    of the degree-16 panel doubling come from the points of one height.
-    A field with ``powers`` b_m takes the smallest X, to a relative 1e-3,
-    whose tail (1/2 pi) sum_m b_m Gamma(m+1, rate X) / rate^(m+1) is at most
-    abs_tol * 1e-2; any other field the X where its growth constant times
-    e^(-rate X) is.  A field with a ``table`` is sampled once, into a spline
-    on [-X0, X0] with X0 the cutoff at height 0.05, and never extrapolated:
-    a branch whose cutoff passes X0 raises ``ConvergenceError``.
+    of the degree-16 panel doubling come from the points of one height.  X is
+    the least, to a relative 1e-3, whose tail (1/2 pi) ``g.tail(|Im z|)(X)``
+    is at most abs_tol * 1e-2.  The branches evaluate g where they need it.
     """
-    base_rate = g.growth.rate if g.growth.kind == "exp_decay" else 0.0
-
-    def power_tail(x, rate):
-        return sum(b * _upper_gamma(m + 1.0, rate * x) / rate ** (m + 1)
-                   for m, b in enumerate(g.powers) if b) / (2.0 * math.pi)
-
     @lru_cache(maxsize=None)
     def xi_cutoff(eta):
-        rate = base_rate + eta
-        if rate <= 0:
-            raise AdmissibilityError("half-line integral diverges on the axis")
-        target = abs_tol * 1e-2
-        if not g.powers:
-            return math.log(max(g.growth.constant, 1.0) / target) / rate
-        lo, hi = 0.0, 1.0 / rate
-        while power_tail(hi, rate) > target:
-            lo, hi = hi, 2.0 * hi
-        while hi - lo > 1e-3 * hi:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if power_tail(mid, rate) <= target else (mid, hi)
-        return hi
-
-    gg, X0 = g, math.inf
-    if g.table is not None:
-        X0 = xi_cutoff(0.05)
-        gg = g.tabulate(-X0, X0)
+        tail = g.tail(eta)
+        return _cutoff(lambda X: tail(X) / (2.0 * math.pi), abs_tol * 1e-2)
 
     def branch(sign):
         def at_height(zs, y):
@@ -362,16 +351,12 @@ def inverse_fourier(g: SmoothField, label: str = "",
             if eta <= 0:
                 raise ValueError("branch evaluated on the wrong side of the axis")
             X = xi_cutoff(eta)
-            if X > X0:
-                raise ConvergenceError(
-                    f"inverse Fourier branch at Im z = {y:g} needs |xi| up to {X:g}, "
-                    f"past the cutoff {X0:g} of its table of {g.label or 'g'}")
             xmax = float(np.max(np.abs(zs.real)))
             lo, hi = (0.0, X) if sign > 0 else (-X, 0.0)
 
             def evaluate(panels):
                 rule = CompositeRule(lo, hi, panels, 16)
-                gv = np.asarray(gg(rule.points, 0))
+                gv = np.asarray(g(rule.points, 0))
                 return sign / (2.0 * math.pi) * rule.exp_sum(zs, gv * rule.weights, 1j)
 
             return refine(evaluate, max(8, int(xmax * X / math.pi) + 1), 1 << 14,
@@ -381,8 +366,7 @@ def inverse_fourier(g: SmoothField, label: str = "",
 
     return Hyperfunction1D(
         f_plus=branch(+1), f_minus=branch(-1), strip=math.inf,
-        growth=GrowthClass.asymptotic(),
-        label=label or f"ift({g.label})")
+        growth=GrowthClass.asymptotic(), label=label or f"ift({g.label})", source=g)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +374,15 @@ def inverse_fourier(g: SmoothField, label: str = "",
 
 
 def moment(f: Hyperfunction1D, n: int, abs_tol: float = 1e-11) -> complex:
-    """mu^n(f) = <f, z^n>; requires an asymptotic input."""
+    """mu^n(f) = <f, z^n>; requires an asymptotic input.  An inverse transform
+    takes i^n g^(n)(0) from its source field g, by duality."""
+    if f.source is not None:
+        try:
+            return 1j ** n * complex(f.source(0.0, n))
+        except NotImplementedError:
+            raise AdmissibilityError(f"moment {n} of {f.label or 'f'} needs the derivative "
+                                     f"of order {n} of its source field "
+                                     f"{f.source.label or 'g'}, which it does not expose") from None
     if not f.is_asymptotic:
         raise AdmissibilityError("moments require an asymptotic hyperfunction")
     phi = TestFunction(ex.Pow(ex.Var("z"), n) if n else ex._ONE,

@@ -340,6 +340,16 @@ def _bessel_operator():
         label="J")
 
 
+def test_local_operators_drop_the_source_field():
+    # J(D) F^-1 g is not F^-1 g, so the result must not pair by duality through g
+    g = sp.fourier_transform(cp.default_corpus()["sech"])
+    f = replace(cp.default_corpus()["sech"], source=g)
+    finite = hy.LocalOperator(coefficients=(1.0, 0.0, -1.0), label="1-D^2")
+    for op in (finite, _bessel_operator()):
+        assert hy.apply_local_operator(op, f).source is None
+    assert hy.apply_local_operator(_bessel_operator(), sp.inverse_fourier(g)).source is None
+
+
 @pytest.mark.parametrize("tail", [
     lambda n: 1.0, lambda n: math.exp(n * math.log(4.0) - math.lgamma(n + 1.0))])
 def test_cauchy_kernel_raises_at_its_cap(tail):

@@ -409,6 +409,20 @@ def test_slices_of_the_gaussians_match_mpmath(label):
             assert abs(hy.pair(via_ft, phi) - want) <= 1e-8, (omega, phi.label)
 
 
+@pytest.mark.parametrize("label", ["gauss2", "skew_gauss2"])
+def test_fourier_route_slices_are_within_their_reported_bounds(label):
+    via_ft = rd.radon_via_fourier(MD[label], (0.6, 0.8))
+    for phi in (phi for phi in SUITE if phi.label in ("gauss", "affine_gauss")):
+        value, err = hy.pair_with_error(via_ft, phi)
+        assert abs(value - _slice_pairing(label, (0.6, 0.8), phi)) <= err <= 1e-10, phi.label
+
+
+def test_fourier_route_slice_branches_are_within_their_reported_bound():
+    value, err = hy.pair_with_error(rd.radon_via_fourier(MD["gauss2"], (0.6, 0.8)), SUITE[0],
+                                    force_lines=True)
+    assert abs(value - _slice_pairing("gauss2", (0.6, 0.8), SUITE[0])) <= err <= 1e-10
+
+
 @pytest.mark.parametrize("route", [lambda f, om: rd.radon_transform(f, om).hyper,
                                    rd.radon_via_fourier], ids=["direct", "fourier"])
 def test_three_dimensional_gaussian_slice(route):

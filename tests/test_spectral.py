@@ -80,6 +80,16 @@ def test_fourier_of_sech_closed_form():
         assert abs(complex(np.asarray(fhat(float(xi)))) - want) < 1e-9
 
 
+@pytest.mark.parametrize("label, rate, constant", [
+    ("sech", 0.7, 4.0), ("gaussian", 0.5, 4.0 * math.sqrt(2.0 * math.pi))])
+def test_fourier_of_one_sided_input_declares_its_derived_envelope(label, rate, constant):
+    # rate: half the input's strip; constant: the integral of its envelope
+    field = sp.fourier_transform(CORPUS[label])
+    assert field.growth == GrowthClass.exp_decay(rate, constant=constant)
+    xis = np.linspace(-40.0, 40.0, 801)
+    assert np.all(np.abs(field(xis)) <= field.growth.constant * np.exp(-rate * np.abs(xis)))
+
+
 def test_fourier_of_two_sided_sech_matches_one_sided():
     # F_plus = sech/2, F_minus = -sech/2 defines sech too, with both amplitudes live
     half = ex.parse_expr("sech(z)/2")
@@ -138,13 +148,51 @@ def test_round_trip_sech():
     assert abs(hy.pair(f, phi) - hy.pair(back, phi)) < 1e-6
 
 
-@pytest.mark.parametrize("n", [0, 2])
-def test_moment_of_a_round_trip_is_rejected(n):
-    # the inverse transform is declared asymptotic, a class with no rate that
-    # certifies the tail against z^n
+def _euler_number(n):
+    """E_n from sech x = sum E_n x^n / n!, by mpmath's Taylor series."""
+    with mp.workdps(40):
+        return mp.taylor(mp.sech, 0, n)[n] * mp.factorial(n)
+
+
+def test_moments_of_round_trips_come_from_their_source_field():
+    # mu_n = i^n g^(n)(0) of the source field: sech's are pi (pi/2)^n |E_n|,
+    # gaussian's sqrt(2 pi) (n - 1)!!, the odd ones 0
+    for label, even in (("sech", lambda n: math.pi * (math.pi / 2) ** n
+                         * abs(float(_euler_number(n)))),
+                        ("gaussian", lambda n: math.sqrt(2 * math.pi)
+                         * math.prod(range(n - 1, 0, -2)))):
+        back = sp.inverse_fourier(sp.fourier_transform(CORPUS[label]))
+        for n in range(9):
+            want = even(n) if n % 2 == 0 else 0.0
+            assert abs(sp.moment(back, n) - want) <= 1e-10 * max(abs(want), 1.0), (label, n)
+    assert abs(sp.asymptotic_sum(back, 2).coefficients[2] - math.sqrt(2 * math.pi) / 2) <= 1e-10
+
+
+def test_moment_past_the_source_fields_orders_is_rejected():
+    back = rd.radon_via_fourier(cp.multidim_corpus()["gauss2"], (0.6, 0.8))
+    assert abs(sp.moment(back, 0) - math.pi) <= 1e-9
+    with pytest.raises(hy.AdmissibilityError, match="derivative of order 2 of its "
+                                                    "source field ray"):
+        sp.moment(back, 2)
+
+
+@pytest.mark.parametrize("label", ["sech", "gaussian"])
+def test_round_trips_are_within_their_reported_bounds(label):
+    # calibration: the duality pairing against the direct one at abs_tol 1e-13
+    back = sp.inverse_fourier(sp.fourier_transform(CORPUS[label]))
+    for phi in SUITE:
+        want, want_err = hy.pair_with_error(CORPUS[label], phi, hy.ContourSpec(abs_tol=1e-13))
+        got, err = hy.pair_with_error(back, phi)
+        assert abs(got - want) <= err + want_err, phi.label
+        assert err <= 1e-10, phi.label
+
+
+def test_round_trip_branches_are_within_their_reported_bound():
+    # the branches evaluate the source field directly, with no table between
     back = sp.inverse_fourier(sp.fourier_transform(CORPUS["sech"]))
-    with pytest.raises(hy.AdmissibilityError, match="declares no decay rate"):
-        sp.moment(back, n)
+    want, want_err = hy.pair_with_error(CORPUS["sech"], SUITE[0], hy.ContourSpec(abs_tol=1e-13))
+    got, err = hy.pair_with_error(back, SUITE[0], force_lines=True)
+    assert abs(got - want) <= err + want_err and err <= 1e-10
 
 
 def test_inverse_branch_value_does_not_depend_on_batch():
@@ -300,43 +348,10 @@ def test_tail_kernel_against_mpmath_sine_and_cosine_integrals():
         assert sp._tail_kernel(np.array([0.0]), 16.0)[0] == 1.0 / 16.0
 
 
-def _cubic(x):
-    return (1 + 2j) - 0.5 * x + (0.3 - 0.1j) * x ** 2 + 0.02 * x ** 3
-
-
-def test_tabulated_field_reproduces_a_cubic():
-    field = sp.SmoothField(lambda xi, order: _cubic(np.asarray(xi)), label="cubic")
-    tab = field.tabulate(-3.0, 5.0)
-    x = np.random.default_rng(3).uniform(-3.0, 5.0, 20000)  # several evaluation blocks
-    scale = np.max(np.abs(_cubic(x)))
-    assert np.max(np.abs(tab(x) - _cubic(x))) <= 1e-13 * scale
-    # never extrapolated past the knots, and order 0 only
-    for outside in (7.5, -4.0, np.array([0.0, 5.0 + 1e-9])):
-        with pytest.raises(ValueError, match="known on"):
-            tab(outside)
-    with pytest.raises(NotImplementedError):
-        tab(0.0, 1)
-
-
-def test_spline_interpolates_is_c2_and_not_a_knot():
-    y = np.array([1.0, 1j]) @ np.random.default_rng(5).uniform(-1, 1, (2, 40))
-    c3, c2, c1, c0 = sp._spline_coefficients(0.0, 39.0, y)  # unit spacing
-    # value, first, second derivative at the right end of each interval
-    end = (c3 + c2 + c1 + c0, 3 * c3 + 2 * c2 + c1, 6 * c3 + 2 * c2)
-    scale = np.max(np.abs([c3, c2, c1, c0]))
-    assert np.array_equal(c0, y[:-1])
-    assert np.max(np.abs(end[0] - y[1:])) <= 1e-13 * scale
-    assert np.max(np.abs(end[1][:-1] - c1[1:])) <= 1e-13 * scale
-    assert np.max(np.abs(end[2][:-1] - 2 * c2[1:])) <= 1e-13 * scale
-    # not-a-knot: the third derivative is continuous at the second and the
-    # second-to-last knots
-    assert abs(c3[0] - c3[1]) <= 1e-13 * scale
-    assert abs(c3[-2] - c3[-1]) <= 1e-13 * scale
-    assert abs(c3[1] - c3[2]) > 1e-3  # and generally not at the others
-
-
-@pytest.mark.parametrize("sampled", [True, False])
+@pytest.mark.parametrize("sampled", [False])
 def test_inverse_fourier_samples_a_field_once_exactly_when_it_has_a_table(sampled):
+    # the case with a table, sampled into a spline, went with the spline: no
+    # field is sampled until a pairing or a branch needs it
     seen = []
 
     def gauss(xi):
@@ -346,14 +361,43 @@ def test_inverse_fourier_samples_a_field_once_exactly_when_it_has_a_table(sample
     g = sp.SmoothField(sp.order0(gauss), table=gauss if sampled else None,
                        growth=GrowthClass.exp_decay(1.0, constant=1.0))
     f = sp.inverse_fourier(g)
-    assert len(seen) == (1 if sampled else 0)
+    assert not seen
     # the inverse transform of e^(-xi^2) is e^(-x^2/4) / (2 sqrt pi)
     assert abs(hy.pair(f, SUITE[0]) - 1.0 / math.sqrt(5.0)) <= 1e-9
-    if sampled:  # the knots, once, and never again
-        assert len(seen) == 1 and len(seen[0]) == sp._TABLE_KNOTS
-        assert seen[0][0] == -seen[0][-1] < 0
-    else:  # only the branches' half-lines, never a grid across 0
-        assert seen and all(np.all(x >= 0) or np.all(x <= 0) for x in seen)
+    seen.clear()
+    assert abs(hy.pair(f, SUITE[0], force_lines=True) - 1.0 / math.sqrt(5.0)) <= 1e-9
+    # the branches sample their half-lines only, never a grid across 0
+    assert seen and all(np.all(x >= 0) or np.all(x <= 0) for x in seen)
+
+
+def test_duality_samples_a_field_through_its_table():
+    calls = {"table": 0, "evaluator": 0}
+
+    def counted(key):
+        def gauss(xi, order=0):
+            calls[key] += 1
+            return np.exp(-np.asarray(xi) ** 2)
+        return gauss
+
+    g = sp.SmoothField(counted("evaluator"), table=counted("table"),
+                       growth=GrowthClass.exp_decay(1.0, constant=1.0))
+    value, err = hy.pair_with_error(sp.inverse_fourier(g), SUITE[0])
+    assert abs(value - 1.0 / math.sqrt(5.0)) <= err <= 1e-10
+    # one call serves the first two levels, and each later call one more
+    assert calls["evaluator"] == 0 and 1 <= calls["table"] <= 3
+
+
+@pytest.mark.parametrize("growth, envelope", [
+    (GrowthClass.tempered(2.0, constant=2.0), lambda x: 2 * (1 + x) ** 2),
+    (GrowthClass.exp_decay(0.3, constant=2.0), lambda x: 2 * mp.exp(-0.3 * x)),
+    (GrowthClass.infra_exponential(constant=2.0), lambda x: 2 * mp.exp(0.1 * x))],
+    ids=["tempered", "exp_decay", "infra_exponential"])
+def test_field_tail_is_the_integral_of_its_envelope(growth, envelope):
+    # int_X^inf envelope(xi) e^(-s xi) d xi at s = 0.5, exact for these envelopes
+    tail = sp.SmoothField(sp.order0(np.exp), growth=growth).tail(0.5)
+    for X in (0.0, 3.0, 40.0):
+        want = float(mp.quad(lambda x: envelope(x) * mp.exp(-0.5 * x), [X, X + 20, mp.inf]))
+        assert abs(tail(X) - want) <= 1e-10 * want, X
 
 
 class _Captured(Exception):
@@ -373,16 +417,14 @@ def _field_handed_to_inverse_fourier(monkeypatch, build):
     return fields[0]
 
 
-@pytest.mark.parametrize("name", ["tabulated", "smooth ray", "cli field"])
+@pytest.mark.parametrize("name", ["smooth ray", "cli field"])
 def test_order0_fields_raise_at_order_1(monkeypatch, name):
-    if name == "tabulated":
-        field = sp.SmoothField(lambda xi, order: _cubic(np.asarray(xi))).tabulate(-1.0, 1.0)
-    elif name == "smooth ray":
+    if name == "smooth ray":
         field = rd.multidim_fourier_ray(cp.multidim_corpus()["gauss2"], (0.6, 0.8))
     else:
         field = _field_handed_to_inverse_fourier(monkeypatch, lambda: cli.cmd_invfourier(
             cli.resolve_options("invfourier", {}), cli.Report("invfourier")))
-    # quadrature fields are sampled; closed forms and tables of them are not
+    # a quadrature field has a table; a closed form has none
     assert (field.table is not None) == (name == "smooth ray")
     assert np.isfinite(complex(np.asarray(field(0.5))))
     with pytest.raises(NotImplementedError, match="only order 0"):
@@ -405,15 +447,6 @@ def test_delta_sum_field_matches_mpmath_derivatives():
         with mp.workdps(30):
             want = np.array([complex(mp.diff(closed, mp.mpf(x), q)) for x in xis])
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-13, q
-
-
-def test_round_trip_branch_below_its_table_height_raises():
-    back = sp.inverse_fourier(sp.fourier_transform(CORPUS["sech"]))
-    assert np.isfinite(back.f_plus(0.3 + 0.05j)) and np.isfinite(back.f_minus(0.3 - 0.05j))
-    for branch, z in ((back.f_plus, 0.3 + 0.049j), (back.f_minus, 0.3 - 0.049j)):
-        with pytest.raises(ConvergenceError, match=r"Im z = -?0.049 needs \|xi\| up to "
-                                                   r"69.83\d*, past the cutoff 69.67"):
-            branch(z)
 
 
 def test_moment_of_the_zero_hyperfunction_is_zero():
