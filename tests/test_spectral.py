@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -166,6 +167,15 @@ def test_moments_of_round_trips_come_from_their_source_field():
             want = even(n) if n % 2 == 0 else 0.0
             assert abs(sp.moment(back, n) - want) <= 1e-10 * max(abs(want), 1.0), (label, n)
     assert abs(sp.asymptotic_sum(back, 2).coefficients[2] - math.sqrt(2 * math.pi) / 2) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_moment_of_a_round_trip_is_rejected(n):
+    # without its source field the inverse transform is only declared
+    # asymptotic, a class with no rate that certifies the tail against z^n
+    back = sp.inverse_fourier(sp.fourier_transform(CORPUS["sech"]))
+    with pytest.raises(hy.AdmissibilityError, match="declares no decay rate"):
+        sp.moment(dataclasses.replace(back, source=None), n)
 
 
 def test_moment_past_the_source_fields_orders_is_rejected():
