@@ -206,23 +206,24 @@ def _std_kernel(d):
 # pairing
 
 
-def _combined_tail(f: Hyperfunction1D, phi_growth: GrowthClass):
-    """Growth model of the two-line bracket integrand, from the two declared
-    envelopes alone; raises if it is divergent or not declared."""
-    g, p = f.growth, phi_growth
+def _combined_tail(g: GrowthClass, p: GrowthClass):
+    """(class, weight exponent) of the product of two declared envelopes, the
+    model of every truncated tail through ``quad.tail_bound``; raises if the
+    product's integral diverges or no class declares its rate."""
     kinds = {g.kind, p.kind}
     c = g.constant * p.constant
     if "infra_exponential" in kinds:
         other = p if g.kind == "infra_exponential" else g
-        if other.kind == "exp_decay":
-            return GrowthClass.exp_decay(other.rate / 2.0, constant=c), 0.0
+        if other.kind == "exp_decay" and other.rate > 0.1:
+            # e^(r/10) e^(-d r): the envelope's epsilon = 1/10 off the rate
+            return GrowthClass.exp_decay(other.rate - 0.1, constant=c), 0.0
         if other.kind == "gaussian":
             # e^(r/10 - a r^2) <= e^(1/(200 a)) e^(-a r^2 / 2): the envelope's
             # epsilon = 1/10 against half the Gaussian rate
             a = other.rate
             return GrowthClass.gaussian(a / 2.0, c * math.exp(1.0 / (200.0 * a))), 0.0
-        raise AdmissibilityError(
-            "infra-exponential factor needs an exponentially decaying partner")
+        raise AdmissibilityError("an infra-exponential factor needs a gaussian or "
+                                 "an exp_decay partner of rate above 1/10")
     gamma = sum(x.gamma for x in (g, p) if x.kind == "tempered")
     if "gaussian" in kinds:
         # an exp_decay or asymptotic partner is at most its constant; a
@@ -271,9 +272,9 @@ def _pair_lines(f: Hyperfunction1D, phi: TestFunction, spec: ContourSpec):
         zm = z.conj()
         return f.f_plus(z) * phi(z) - f.f_minus(zm) * phi(zm)
 
-    growth, weight = _combined_tail(f, phi.growth)
+    growth, weight = _combined_tail(f.growth, phi.growth)
     radius = (float(spec.truncation_radius) if spec.truncation_radius is not None
-              else auto_radius(growth, spec.abs_tol, weight))
+              else auto_radius(lambda R: tail_bound(growth, weight, R), spec.abs_tol))
     tail = tail_bound(growth, weight, radius)
     value, err, _ = adaptive_interval(
         bracket, -radius, radius, spec.abs_tol, f"line integral at Im z = {eta:g}",

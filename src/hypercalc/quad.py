@@ -4,8 +4,9 @@
 rule per panel (21 points, the 10 Gauss points among them): a round
 evaluates all its new panels in one call of the integrand.  Truncation
 tails of line integrals are certified from a declared growth class and a
-polynomial weight by ``tail_bound``; ``auto_radius`` inverts it by
-bisection, down to adjacent floats.  The weighted tail of an exp_decay or
+polynomial weight by ``tail_bound``; ``auto_radius``, the package's one
+cutoff search, finds the least radius, to a relative 1e-3, at which a
+decreasing tail meets its target.  The weighted tail of an exp_decay or
 gaussian class is an upper incomplete gamma function, in closed form for
 integer order (DLMF 8.4.8): Gamma(n, y) = (n-1)! e^(-y) sum_{k<n} y^k / k!;
 a non-integer order s is bounded above by y^(s - ceil(s)) Gamma(ceil(s), y).
@@ -295,26 +296,20 @@ def adaptive_interval(f, a, b, abs_tol, what: str = "integral",
         lo, hi, val, err = lo[keep], hi[keep], val[keep], err[keep]
 
 
-def auto_radius(growth: GrowthClass, abs_tol: float, weight_exponent: float = 0.0) -> float:
-    """Smallest radius whose certified tail is below abs_tol / 10; raises
-    ``ConvergenceError`` if that radius would reach 1e12."""
+def auto_radius(tail: Callable[[float], float], abs_tol: float) -> float:
+    """The least radius R >= 1, to a relative 1e-3, at which the decreasing
+    ``tail`` is at most abs_tol / 10: R doubles from 1 until it gets there,
+    then bisects its last doubling.  Raises ``ConvergenceError`` if R would
+    reach 1e12."""
     target = abs_tol / 10.0
-    lo, hi = 1.0, 2.0
-    while hi < 1e12:
-        if tail_bound(growth, weight_exponent, hi) <= target:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("tail target unreachable below the radius cap")
-    lo_tested = False  # lo = 1 is the one end never compared with the target
-    for _ in range(80):
+    lo = hi = 1.0
+    while tail(hi) > target:
+        lo, hi = hi, 2.0 * hi
+        if hi >= 1e12:
+            raise ConvergenceError("tail target unreachable below the radius cap")
+    while hi - lo > 1e-3 * hi:  # tail(lo) > target >= tail(hi)
         mid = 0.5 * (lo + hi)
-        if mid == hi or (mid == lo and lo_tested):
-            break  # adjacent floats: every further step repeats this one
-        if tail_bound(growth, weight_exponent, mid) <= target:
-            hi = mid
-        else:
-            lo, lo_tested = mid, True
+        lo, hi = (lo, mid) if tail(mid) <= target else (mid, hi)
     return hi
 
 

@@ -38,7 +38,7 @@ from .growth import GrowthClass
 from .hyper import (AdmissibilityError, ContourSpec, Hyperfunction1D,
                     TestFunction, LocalOperator, TWO_PI_I)
 from .quad import (CompositeRule, ConvergenceError, _upper_gamma, adaptive_interval,
-                   by_height, refine, auto_radius as quad_auto_radius)
+                   by_height, refine, tail_bound, auto_radius as quad_auto_radius)
 
 __all__ = [
     "SmoothField", "order0", "delta_sum_field", "AsymptoticSum", "fourier_transform",
@@ -80,23 +80,14 @@ class SmoothField:
 
     def tail(self, s: float) -> Callable:
         """X -> a bound of int_X^inf |g(+-xi)| e^(-s xi) d xi, g this field: from
-        its powers, sum_m b_m Gamma(m+1, sX) / s^(m+1); else from its growth's
-        envelope: C e^s s^(-gamma-1) Gamma(gamma+1, s(1+X)) for a tempered
-        C (1+xi)^gamma with gamma > 0, else C e^(-rX) / r, r being s plus an
-        exp_decay rate or less the 1/10 of an infra-exponential envelope, and
-        raises if r <= 0."""
+        its powers, sum_m b_m Gamma(m+1, sX) / s^(m+1); else half the two-sided
+        ``tail_bound`` of its growth times exp_decay(s) (``hy._combined_tail``),
+        which raises ``AdmissibilityError`` when that product is not integrable."""
         if self.powers:
             return lambda X: sum(b * _upper_gamma(m + 1.0, s * X) / s ** (m + 1)
                                  for m, b in enumerate(self.powers) if b)
-        g = self.growth
-        if g.kind == "tempered" and g.gamma > 0:  # t = s (1 + xi)
-            return lambda X: (g.constant * math.exp(s) * s ** (-g.gamma - 1.0)
-                              * _upper_gamma(g.gamma + 1.0, s * (1.0 + X)))
-        rate = s + {"exp_decay": g.rate, "infra_exponential": -0.1}.get(g.kind, 0.0)
-        if rate <= 0:
-            raise AdmissibilityError(f"the integral of {self.label or 'g'} against "
-                                     f"e^(-{s:g} |xi|) diverges")
-        return lambda X: g.constant * math.exp(-rate * X) / rate
+        growth, weight = hy._combined_tail(self.growth, GrowthClass.exp_decay(s))
+        return lambda X: 0.5 * tail_bound(growth, weight, X)
 
     def pair_inverse(self, phi: TestFunction, spec: ContourSpec):
         """(<f, phi>, error bound) for f = ``inverse_fourier(g)``, g this field,
@@ -106,8 +97,8 @@ class SmoothField:
         Moving that transform's line to Im x = -+s, s the height of the
         two-line route, bounds |hat phi(xi)| by M e^(-s |xi|), M the integral
         of phi's declared envelope.  With ``tail(s)`` this certifies the
-        integral past |xi| = X, for the least X whose bound is at most
-        abs_tol / 10.  The trapezoid rule on [-X, X] doubles its intervals
+        integral past |xi| = X, X the ``quad.auto_radius`` of that bound at
+        abs_tol.  The trapezoid rule on [-X, X] doubles its intervals
         from 128 through ``refine`` until two levels agree within abs_tol.  g,
         through its ``table`` when it has one, and hat phi are sampled at new
         points only, in one call of each per level, except that the first
@@ -120,7 +111,7 @@ class SmoothField:
         def tail(X):  # both sides, each (M / 2 pi) int_X^inf |g| e^(-s xi)
             return mass / math.pi * g_tail(X)
 
-        X = _cutoff(tail, spec.abs_tol / 10.0)
+        X = quad_auto_radius(tail, spec.abs_tol)
         phi_hat = fourier_transform(Hyperfunction1D(
             phi.expr, ex._ZERO, phi.strip_halfwidth, phi.growth, phi.label)).table
         sample = self.table or (lambda xi: self.evaluator(xi, 0))
@@ -156,17 +147,6 @@ def _envelope_mass(growth: GrowthClass) -> float:
         return 2.0 * growth.constant / growth.rate
     raise AdmissibilityError(f"the {growth.kind} class declares no decay rate: "
                              "a gaussian or exp_decay envelope is needed")
-
-
-def _cutoff(tail: Callable, target: float) -> float:
-    """The least X, to a relative 1e-3, with the decreasing tail(X) <= target."""
-    lo, hi = 0.0, 1.0
-    while tail(hi) > target:
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if tail(mid) <= target else (mid, hi)
-    return hi
 
 
 @dataclass(frozen=True)
@@ -248,9 +228,12 @@ def delta_sum_field(terms, label: str) -> SmoothField:
 
 
 def fourier_transform(f: Hyperfunction1D) -> SmoothField:
-    """hat f(xi) = <f, e^(-i x xi)>.  A one-sided f declares exp_decay at
-    half its strip (0.5 for an infinite one), with the integral of its own
-    envelope as constant; a two-sided f declares infra-exponential growth."""
+    """hat f(xi) = <f, e^(-i x xi)>.  An inverse transform's is its ``source``
+    field g itself.  A one-sided f declares exp_decay at half its strip (0.5
+    for an infinite one), with the integral of its own envelope as constant;
+    a two-sided f declares infra-exponential growth."""
+    if f.source is not None:
+        return f.source
     if not f.is_asymptotic:
         raise AdmissibilityError(
             "fourier_transform accepts asymptotic inputs only; tempered "
@@ -278,8 +261,8 @@ def fourier_transform(f: Hyperfunction1D) -> SmoothField:
         if not np.all(np.isfinite(xis)):
             raise ValueError(f"Fourier table of {f.label or 'f'} at a non-finite xi")
         xi_peak = max(1.0, float(np.max(np.abs(xis))))
-        growth, weight = hy._combined_tail(f, GrowthClass.tempered(float(order)))
-        radius = quad_auto_radius(growth, 1e-11, weight)
+        growth, weight = hy._combined_tail(f.growth, GrowthClass.tempered(float(order)))
+        radius = quad_auto_radius(lambda R: tail_bound(growth, weight, R), 1e-11)
         flat = xis.ravel()
         groups = ([(flat > 0, -eta, -eta), (flat <= 0, eta, eta)]
                   if one_sided else [(np.ones(flat.shape, bool), eta, -eta)])
@@ -337,13 +320,13 @@ def inverse_fourier(g: SmoothField, label: str = "",
     whatever decay g itself has.  Each branch is built with
     ``quad.by_height``: the cutoff X, the damping |Im z| and the start level
     of the degree-16 panel doubling come from the points of one height.  X is
-    the least, to a relative 1e-3, whose tail (1/2 pi) ``g.tail(|Im z|)(X)``
+    the ``quad.auto_radius`` at which the tail (1/2 pi) ``g.tail(|Im z|)(X)``
     is at most abs_tol * 1e-2.  The branches evaluate g where they need it.
     """
     @lru_cache(maxsize=None)
     def xi_cutoff(eta):
         tail = g.tail(eta)
-        return _cutoff(lambda X: tail(X) / (2.0 * math.pi), abs_tol * 1e-2)
+        return quad_auto_radius(lambda X: tail(X) / (2.0 * math.pi), abs_tol * 1e-1)
 
     def branch(sign):
         def at_height(zs, y):

@@ -12,7 +12,7 @@ import hypercalc.expr as ex
 import hypercalc.hyper as hy
 import hypercalc.spectral as sp
 from hypercalc.growth import GrowthClass
-from hypercalc.quad import ContourSpec, ConvergenceError
+from hypercalc.quad import ContourSpec, ConvergenceError, tail_bound
 
 SUITE = cp.test_suite()
 
@@ -474,9 +474,56 @@ def test_tempered_pair_with_tempered_test_rejected():
 
 
 def test_tempered_pair_tail_adds_the_declared_exponents():
-    growth, weight = hy._combined_tail(cp.default_corpus()["lorentz"],
+    growth, weight = hy._combined_tail(cp.default_corpus()["lorentz"].growth,
                                        GrowthClass.tempered(0.5, constant=3.0))
     assert growth == GrowthClass.tempered(-1.5, constant=3.0) and weight == 0.0
+
+
+def test_infra_exponential_pair_is_within_its_bound():
+    # int 2 cosh(x/10) sech(3x/20) dx = (2 pi / 0.15) sec(pi / 3) / 2 = 80 pi / 3;
+    # the envelopes 2 e^(r/10) and 2 e^(-3r/20) leave exp_decay(1/20, 4)
+    f = hy.embed_real_analytic(ex.parse_expr("exp(z/10) + exp(-z/10)"), 1.0,
+                               GrowthClass.infra_exponential(2.0))
+    phi = hy.TestFunction(ex.parse_expr("sech(3*z/20)"), 1.0,
+                          GrowthClass.exp_decay(0.15, constant=2.0))
+    value, err = hy.pair_with_error(f, phi)
+    assert abs(value - 80.0 * math.pi / 3.0) <= err <= 1e-10
+    slow = hy.TestFunction(ex.parse_expr("sech(z/10)"), 1.0,
+                           GrowthClass.exp_decay(0.1, constant=2.0))
+    with pytest.raises(hy.AdmissibilityError, match="rate above 1/10"):
+        hy.pair_with_error(f, slow)
+
+
+_RATED = [GrowthClass.gaussian(0.3, constant=2.0), GrowthClass.gaussian(1.0),
+          GrowthClass.exp_decay(0.25, constant=3.0), GrowthClass.exp_decay(1.5)]
+_CERTIFIED = [(a, b) for a in _RATED + [
+    GrowthClass.tempered(2.0, constant=2.0), GrowthClass.tempered(-0.5),
+    GrowthClass.tempered(-3.0, constant=1.5), GrowthClass.asymptotic(2.0),
+    GrowthClass.infra_exponential(2.0)] for b in _RATED] + [
+    (GrowthClass.tempered(-3.0, constant=1.5), GrowthClass.tempered(0.5, constant=2.0))]
+
+
+@pytest.mark.parametrize("a, b", _CERTIFIED, ids=[
+    f"{a.kind}-{b.kind}-{k}" for k, (a, b) in enumerate(_CERTIFIED)])
+def test_combined_tail_bounds_the_product_of_the_envelopes(a, b):
+    # the asymptotic envelope (1 + r)^-2 only spot-checks its class, which the
+    # tail counts as its constant; the exp_decay products are exact, up to rounding
+    def envelope(g, x):  # GrowthClass.envelope in mpmath
+        return g.constant * {"gaussian": lambda: mp.exp(-g.rate * x * x),
+                             "exp_decay": lambda: mp.exp(-g.rate * x),
+                             "tempered": lambda: (1 + x) ** g.gamma,
+                             "asymptotic": lambda: (1 + x) ** -2,
+                             "infra_exponential": lambda: mp.exp(x / 10)}[g.kind]()
+
+    growth, weight = hy._combined_tail(a, b)
+    assert hy._combined_tail(b, a) == (growth, weight)
+    with mp.workdps(30):
+        for r in (2.0, 10.0, 40.0):
+            # scaled to 1 at x = r: mpmath's quad misses tiny integrands' digits
+            at_r = envelope(a, r) * envelope(b, r)
+            want = float(2 * at_r * mp.quad(lambda x: envelope(a, x) * envelope(b, x) / at_r,
+                                            [r, r + 1, r + 10, r + 100, mp.inf]))
+            assert tail_bound(growth, weight, r) >= (1.0 - 1e-13) * want, r
 
 
 @pytest.mark.parametrize("weight", range(4))

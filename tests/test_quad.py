@@ -8,7 +8,6 @@ import hypercalc.corpus as cp
 import hypercalc.expr as ex
 from hypercalc.growth import GrowthClass, GrowthError
 from hypercalc.hyper import _geometric_breakpoints
-import hypercalc.quad as quad
 from hypercalc.quad import (_WG, _WK, _XK, ConvergenceError, DimensionError,
                             DivergentTailError, _upper_gamma, adaptive_interval,
                             auto_radius, integrate_box, refine, tail_bound,
@@ -120,59 +119,43 @@ def test_tail_bound_of_a_class_without_a_rate_raises(growth):
 
 def test_auto_radius_meets_tolerance():
     g = GrowthClass.exp_decay(1.0, constant=1.0)
-    r = auto_radius(g, 1e-10)
+    r = auto_radius(lambda R: tail_bound(g, 0.0, R), 1e-10)
     assert tail_bound(g, 0.0, r) <= 1e-10
 
 
-def _auto_radius_80_steps(growth, abs_tol, w):
-    # auto_radius as it was: always 80 bisection steps
-    target = abs_tol / 10.0
-    lo, hi = 1.0, 2.0
-    while tail_bound(growth, w, hi) > target:
-        hi *= 2.0
-        if hi >= 1e12:
-            raise ConvergenceError("tail target unreachable below the radius cap")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if tail_bound(growth, w, mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def test_auto_radius_stops_at_adjacent_floats_with_the_80_step_radius(monkeypatch):
+def test_auto_radius_is_the_least_radius_to_a_relative_1e_3():
     classes = [GrowthClass.exp_decay(d, constant=c) for d in (0.25, 1.0, 3.0)
                for c in (1.0, 40.0)]
     classes.append(GrowthClass.tempered(-9.5, constant=2.0))
-    calls = []
-    counted = tail_bound
-
-    def counting(*args):
-        calls.append(args)
-        return counted(*args)
-
-    monkeypatch.setattr(quad, "tail_bound", counting)
     compared = 0
     for g in classes:
         for w in range(7):
             for tol in (1e-6, 1e-8, 1e-10, 1e-11, 1e-13):
-                try:
-                    want = _auto_radius_80_steps(g, tol, float(w))
-                except ConvergenceError:
-                    with pytest.raises(ConvergenceError):
-                        auto_radius(g, tol, float(w))
-                    continue
-                calls.clear()
-                assert auto_radius(g, tol, float(w)) == want, (g, w, tol)
-                assert len(calls) < 60 + math.log2(want), (g, w, tol, len(calls))
+                calls = []
+
+                def tail(R):
+                    calls.append(R)
+                    return tail_bound(g, float(w), R)
+
+                r = auto_radius(tail, tol)
+                target = tol / 10.0
+                assert tail_bound(g, float(w), r) <= target, (g, w, tol)
+                if r > 1.0:  # else the floor: R = 1 met the target already
+                    assert tail_bound(g, float(w), r / (1.0 + 2e-3)) > target, (g, w, tol)
+                # the doublings up to r, then about log2(1000) bisections
+                assert len(calls) <= math.log2(r) + 12, (g, w, tol, len(calls))
                 compared += 1
     assert compared > 150
-    # the tail is below target already at r = 1, the lower end that is never
-    # tested: the 80 steps end at 1.0 and so must the early stop
+    # a tail still above target at 2^39 would need a radius past 1e12
+    assert auto_radius(lambda R: 1.0 / R, 2e-11) < 1e12
+    with pytest.raises(ConvergenceError, match="radius cap"):
+        auto_radius(lambda R: 1.0 / R, 1e-11)
+    with pytest.raises(ConvergenceError, match="radius cap"):
+        auto_radius(lambda R: tail_bound(GrowthClass.tempered(-1.5), 0.0, R), 1e-13)
+    # the tail is below target already at R = 1, the least radius returned
     steep = GrowthClass.exp_decay(50.0, constant=1e-3)
     assert tail_bound(steep, 0.0, 1.0) <= 1e-7
-    assert auto_radius(steep, 1e-6) == _auto_radius_80_steps(steep, 1e-6, 0.0) == 1.0
+    assert auto_radius(lambda R: tail_bound(steep, 0.0, R), 1e-6) == 1.0
 
 
 def test_upper_gamma_against_mpmath():

@@ -149,6 +149,16 @@ def test_round_trip_sech():
     assert abs(hy.pair(f, phi) - hy.pair(back, phi)) < 1e-6
 
 
+def test_transform_of_a_round_trip_is_its_source_field():
+    # hat sech = pi sech(pi xi / 2); no branch of the inverse is evaluated
+    field = sp.fourier_transform(CORPUS["sech"])
+    back = sp.inverse_fourier(field)
+    assert sp.fourier_transform(back) is field
+    xis = np.array([-2.5, 0.0, 1.0, 4.0])
+    want = np.pi / np.cosh(np.pi * xis / 2)
+    assert np.max(np.abs(sp.fourier_transform(back)(xis) - want)) <= 1e-10
+
+
 def _euler_number(n):
     """E_n from sech x = sum E_n x^n / n!, by mpmath's Taylor series."""
     with mp.workdps(40):
