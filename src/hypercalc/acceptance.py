@@ -26,8 +26,8 @@ from . import spectral as sp
 from .quad import ContourSpec, adaptive_interval
 
 __all__ = ["CheckResult", "run_all", "report_json", "direction_set", "worker_count",
-           "CHECKS", "TOL_DELTA", "TOL_ROUND_TRIP", "TOL_ORACLE", "TOL_RESIDUAL",
-           "SLOPE_MARGIN"]
+           "two_route", "CHECKS", "TOL_DELTA", "TOL_ROUND_TRIP", "TOL_ORACLE",
+           "TOL_RESIDUAL", "SLOPE_MARGIN"]
 
 # pass criteria, shared with the command line's checks
 TOL_DELTA = 1e-8  # pairings of delta derivatives against exact derivatives
@@ -187,10 +187,12 @@ def check_moment_realization(seed: int) -> CheckResult:
                        worst)
 
 
-def _two_route_delta(f, omega, phi):
+def two_route(f, omega, phi):
+    """<R f(omega, .), phi> by the direct slice, and its relative distance
+    from the Fourier route's."""
     v1 = hy.pair(rd.radon_transform(f, omega).hyper, phi)
     v2 = hy.pair(rd.radon_via_fourier(f, omega), phi)
-    return abs(v1 - v2) / (1.0 + abs(v1))
+    return v1, abs(v1 - v2) / (1.0 + abs(v1))
 
 
 def check_radon_two_route(seed: int) -> CheckResult:
@@ -200,9 +202,7 @@ def check_radon_two_route(seed: int) -> CheckResult:
     labels = sorted(md)
     jobs = [(label, om) for label in labels for om in dirs]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rels = list(pool.map(lambda j: _two_route_delta(md[j[0]], j[1], phi),
-                             jobs))
-    worst = max(rels)
+        worst = max(pool.map(lambda j: two_route(md[j[0]], j[1], phi)[1], jobs))
     # Gaussian slice oracle
     sl = rd.radon_transform(md["gauss2"], (1.0, 0.0))
     v = hy.pair(sl.hyper, phi)

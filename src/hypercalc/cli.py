@@ -35,7 +35,7 @@ from . import hyper as hy
 from . import odeseries as od
 from . import radon as rd
 from . import spectral as sp
-from .growth import GrowthClass
+from .growth import GrowthClass, GrowthError
 from .quad import ContourSpec, ConvergenceError
 
 
@@ -179,14 +179,7 @@ class Report:
         (out / f"{name}.json").write_text(
             json.dumps(self.record, sort_keys=True, indent=2) + "\n")
         with open(out / f"{name}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            if self.header:
-                w.writerow(self.header)
-                for r in self.rows:
-                    w.writerow(r)
-            else:
-                for k in sorted(self.record):
-                    w.writerow([k, json.dumps(self.record[k], sort_keys=True)])
+            csv.writer(fh).writerows([self.header] + self.rows)
         for line in self.lines:
             print(line)
         print(f"report: {out / (name + '.json')}")
@@ -373,15 +366,8 @@ def cmd_radon(opts: Options, rep: Report):
     count = opts["directions"]
     dirs = ac.direction_set(count, opts["seed"])
     phi = cp.test_suite()[0]
-
-    def one(om):
-        sl = rd.radon_transform(f, om)
-        v1 = hy.pair(sl.hyper, phi)
-        v2 = hy.pair(rd.radon_via_fourier(f, om), phi)
-        return v1, abs(v1 - v2) / (1.0 + abs(v1))
-
     with ThreadPoolExecutor(max_workers=ac.worker_count()) as pool:
-        results = list(pool.map(one, dirs))
+        results = list(pool.map(lambda om: ac.two_route(f, om, phi), dirs))
     rows = [[om[0], om[1], v.real, v.imag, d]
             for om, (v, d) in zip(dirs, results)]
     worst = max(d for _, d in results)
@@ -689,7 +675,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         rep = Report(command)
         SUBCOMMANDS[command].handler(opts, rep)
         rep.emit(opts["output"])
-    except (UsageError, hy.AdmissibilityError) as exc:  # outside the domain
+    except (UsageError, hy.AdmissibilityError, GrowthError, ex.ExprError) as exc:
+        # outside the domain
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, od.RecurrenceError, OverflowError) as exc:  # failed

@@ -156,12 +156,12 @@ def embed_real_analytic(e: ex.Expr, strip: float, growth: GrowthClass,
 
 
 def laurent_polynomial(coefficients, at: float = 0.0) -> ex.Expr:
-    """Simplified sum of c_n (z - at)^(-n) over ``coefficients`` = {n: c_n}."""
+    """Sum of c_n (z - at)^(-n) over ``coefficients`` = {n: c_n}, folded."""
     base = ex.Var("z") if at == 0 else ex.Sub(ex.Var("z"), ex.Const(complex(at)))
     total = ex._ZERO
     for n, c in coefficients.items():
-        total = ex.Add(total, ex.Div(ex.Const(complex(c)), ex.Pow(base, n)))
-    return ex.simplify(total)
+        total = ex._add(total, ex._div(ex.Const(complex(c)), ex._pow(base, n)))
+    return total
 
 
 def delta_combination(terms, growth: GrowthClass = GrowthClass.tempered(-1.0),
@@ -312,7 +312,7 @@ def pair_with_error(f, phi, spec=None, force_lines=False):
     if f.source is not None and not force_lines:
         return f.source.pair_inverse(phi, spec)
     if f.is_delta_like and not force_lines:
-        radius = 0.45 * min(phi.strip_halfwidth, 1.0)
+        radius = 0.45 * min(phi.strip_halfwidth, f.strip, 1.0)
         return _pair_circle(f, phi, radius, spec.abs_tol)
     return _pair_lines(f, phi, spec)
 

@@ -19,14 +19,14 @@ of the package (composite panels, box rules, trapezoid rules on circles,
 over periodic samples and, sinh-mapped, on lines) doubles its resolution
 through it until two passes agree, or raises ``ConvergenceError`` at its cap.
 ``by_height`` builds every computed defining function from one evaluation
-per height Im z, and ``in_row_blocks`` bounds the memory of its (points x
-nodes) sums and of the Radon projection.
+per height Im z.  ``in_row_blocks``, the one row-blocking loop, bounds the
+memory of its (points x nodes) sums, of the exponential sums' (t x panel)
+products and of the Radon projection.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -90,19 +90,6 @@ def _leggauss(m):
 
 # (t, panel) entries per block of CompositeRule.exp_sum; bounds its memory
 _EXP_SUM_BLOCK = 1 << 18
-_WORKSPACE = threading.local()
-
-
-def _workspace(n):
-    """The calling thread's complex scratch buffer, grown to n entries and
-    kept.  exp_sum's (t x panel) product, up to 4 MB a block, lives in it:
-    a fresh array that size may be mapped anew by the allocator, about a
-    thousand page faults a block, depending on what earlier calls freed.
-    Each block overwrites the part it reads, so no value depends on it."""
-    buf = getattr(_WORKSPACE, "buf", None)
-    if buf is None or buf.size < n:
-        buf = _WORKSPACE.buf = np.empty(n, dtype=complex)
-    return buf
 
 
 class CompositeRule:
@@ -127,8 +114,9 @@ class CompositeRule:
         with p = q B + b and B about sqrt(panels), m_p = (m_qB - m_0) + m_b,
         so the panel factor splits again into exp(c t (m_qB - m_0)) and
         exp(c t m_b), and the product-sum into two batched products.  A t
-        then takes degree + 2 sqrt(panels) exps.  ``amplitudes`` has shape
-        (len(points),) or (R, len(points)); the result has shape
+        then takes degree + 2 sqrt(panels) exps.  ``in_row_blocks`` holds a
+        block to ``_EXP_SUM_BLOCK`` (t, panel) entries.  ``amplitudes`` has
+        shape (len(points),) or (R, len(points)); the result has shape
         ``amplitudes.shape[:-1] + t.shape``.
         """
         t = np.asarray(t)
@@ -147,19 +135,16 @@ class CompositeRule:
         a = a.transpose(2, 0, 1).reshape(degree, -1)
         fine_mid = self.mid[:fine]
         coarse_shift = self.mid[::fine] - self.mid[0]
-        out = np.empty((flat.size, rows), dtype=complex)
-        cols = rows * coarse * fine
-        step = max(1, _EXP_SUM_BLOCK // cols)
-        work = _workspace(min(step, flat.size) * cols)
-        for start in range(0, flat.size, step):
-            ct = c * flat[start:start + step]
+
+        def block(ct):
             e_node = np.exp(np.multiply.outer(ct, self.half * self.nodes))
             e_fine = np.exp(np.multiply.outer(ct, fine_mid))
             e_coarse = np.exp(np.multiply.outer(ct, coarse_shift))
-            inner = np.matmul(e_node, a, out=work[:len(ct) * cols].reshape(len(ct), cols))
-            inner = inner.reshape(len(ct), rows * coarse, fine)
+            inner = (e_node @ a).reshape(len(ct), rows * coarse, fine)
             by_step = (inner @ e_fine[:, :, None]).reshape(len(ct), rows, coarse)
-            out[start:start + step] = (by_step @ e_coarse[:, :, None])[:, :, 0]
+            return (by_step @ e_coarse[:, :, None])[:, :, 0]
+
+        out = in_row_blocks(block, c * flat, rows * coarse * fine, _EXP_SUM_BLOCK)
         return out.T.reshape(amps.shape[:-1] + t.shape)
 
 
@@ -210,12 +195,17 @@ _ROW_BLOCK = 1 << 15  # entries of a (points x nodes) product per block
 
 def in_row_blocks(rows: Callable, points, width: int, entries: int = _ROW_BLOCK):
     """``rows(points[i:j])`` over blocks whose (points x ``width``) products
-    hold at most ``entries``; a scalar result fills its block.  ``rows``
-    reduces each row on its own, so values do not depend on the blocking.
-    The result is float64 when ``rows`` returns real values, else complex."""
+    hold at most ``entries``; a scalar result fills its block.  ``rows`` may
+    return a value or a row vector per point; the result has shape
+    ``(len(points),) + row shape``, float64 when ``rows`` returns real values,
+    else complex.  ``rows`` reduces each row on its own, so values do not
+    depend on the blocking, except that a row function built on matrix
+    products, such as ``CompositeRule.exp_sum``'s, may round differently at
+    other block boundaries."""
     step = max(1, entries // width)
     first = rows(points[:step])
-    out = np.empty(len(points), dtype=complex if np.iscomplexobj(first) else float)
+    out = np.empty((len(points),) + np.shape(first)[1:],
+                   dtype=complex if np.iscomplexobj(first) else float)
     out[:step] = first
     for start in range(step, len(points), step):
         out[start:start + step] = rows(points[start:start + step])

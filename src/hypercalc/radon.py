@@ -97,9 +97,7 @@ MultiDimFunction = Union[SmoothRapid, DeltaCombo]
 
 @dataclass(frozen=True)
 class RadonSlice:
-    omega: tuple
     hyper: Hyperfunction1D
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -222,8 +220,8 @@ def radon_transform(f: MultiDimFunction, omega, abs_tol: float = 1e-9) -> RadonS
     128 u-points on every call; past ``U_POINTS_CAP`` it raises."""
     omega = _check_unit(omega, f.dimension)
     if isinstance(f, DeltaCombo):
-        return RadonSlice(omega=omega, hyper=hy.delta_combination(
-            _projected_terms(f, omega), label=f"radon({f.label})"), label=f.label)
+        return RadonSlice(hy.delta_combination(
+            _projected_terms(f, omega), label=f"radon({f.label})"))
 
     weighted = _weighted_projection(f, omega, abs_tol)
 
@@ -242,10 +240,9 @@ def radon_transform(f: MultiDimFunction, omega, abs_tol: float = 1e-9) -> RadonS
                       f"Radon slice G at Im tau = {y:g}", "u-points")[0]
 
     G = by_height(at_height)
-    slice_hyper = Hyperfunction1D(
+    return RadonSlice(Hyperfunction1D(
         f_plus=G, f_minus=G, strip=math.inf, growth=GrowthClass.tempered(-1.0),
-        label=f"radon({f.label})")
-    return RadonSlice(omega=omega, hyper=slice_hyper, label=f.label)
+        label=f"radon({f.label})"))
 
 
 def multidim_fourier_ray(f: MultiDimFunction, omega) -> sp.SmoothField:
@@ -476,7 +473,7 @@ class SupportReport:
     rate: Optional[float]
     diagnosis: str
     sums: tuple  # (q, |Sigma(q)|, certified truncation tail)
-    residual: float = 0.0
+    residual: float
 
 
 def _exp_remainder(x: float, K: int) -> float:
@@ -518,7 +515,7 @@ def support_check(moments, S: float, eps_list: Sequence[float] = (1e-3, 0.1, 0.5
         growing = [b > a for a, b in zip(terms, terms[1:]) if a > 0]
         if len(growing) >= 3 and all(growing[-3:]) and terms[-1] > terms[0]:
             return SupportReport(passed={float(e): False for e in eps_list},
-                                 rate=None, sums=(),
+                                 rate=None, sums=(), residual=0.0,
                                  diagnosis="series diverges (ratio test on terms)")
     sums = []
     for q in range(1, q_max + 1):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -174,16 +173,18 @@ class AsymptoticSum:
 
 def _laurent_coefficients(f: Hyperfunction1D):
     """Coefficients a_m of (z - x0)^(-m), m = 1..64, of the defining function:
-    the means of w^m F(x0 + w) over n nodes w on the circle |w| = 0.4, n
-    doubling from 128 through ``refine`` until two passes agree within each
-    a_m's rounding floor, 64 eps mean|w^m F(x0 + w)| at 128 nodes.  An a_m at
-    or below its floor is zero; trailing zeros are dropped."""
+    the means of w^m F(x0 + w) over n nodes w on the circle |w| = 0.4
+    min(strip, 1), inside the strip, n doubling from 128 through ``refine``
+    until two passes agree within each a_m's rounding floor, 64 eps
+    mean|w^m F(x0 + w)| at 128 nodes.  An a_m at or below its floor is zero;
+    trailing zeros are dropped."""
     x0 = f.point_support
+    radius = 0.4 * min(f.strip, 1.0)
     floor = None
 
     def in_floors(n):
         nonlocal floor
-        w = 0.4 * np.exp(2j * math.pi * np.arange(n) / n)
+        w = radius * np.exp(2j * math.pi * np.arange(n) / n)
         terms = w[None, :] ** np.arange(1, 65)[:, None] * f.f_plus(x0 + w)[None, :]
         if floor is None:
             floor = np.maximum(64 * hy._EPS * np.abs(terms).mean(axis=1), 1e-300)
@@ -323,7 +324,6 @@ def inverse_fourier(g: SmoothField, label: str = "",
     the ``quad.auto_radius`` at which the tail (1/2 pi) ``g.tail(|Im z|)(X)``
     is at most abs_tol * 1e-2.  The branches evaluate g where they need it.
     """
-    @lru_cache(maxsize=None)
     def xi_cutoff(eta):
         tail = g.tail(eta)
         return quad_auto_radius(lambda X: tail(X) / (2.0 * math.pi), abs_tol * 1e-1)

@@ -229,6 +229,9 @@ def test_unknown_keys_and_malformed_values_exit_2(tmp_path, capsys, command,
      "no formal solution: residual -1 at tau^1"),
     (["ode-solve", "--op", "t^2*D-1e-500"], 2, "exponent of factor '1e-500' exceeds 400"),
     (["ode-solve", "--op", "t^2*D-1e+500"], 2, "exponent of factor '1e+500' exceeds 400"),
+    (["pair", "--embed", "z", "--test", "gauss"], 2, "declared growth fails its spot check"),
+    (["invfourier", "--field", "1/z"], 2, "denominator magnitude below pole threshold"),
+    (["invfourier", "--field", "x1"], 2, "unbound variable 'x1'"),
 ])
 def test_inputs_outside_a_domain_end_in_one_error_line(tmp_path, capsys, argv, code,
                                                        message):

@@ -140,6 +140,19 @@ def test_circle_vs_line_route_for_delta():
     assert abs(v1 - v2) < 1e-8
 
 
+def test_delta_like_circles_stay_inside_a_finite_strip():
+    # delta plus a term holomorphic on |Im z| < 0.15 but not on a wider
+    # circle: a contour around 0 that leaves the strip picks up its pole
+    F = ex.Add(hy.delta_derivative(0).f_plus, ex.parse_expr("1/(z - 0.2*i)"))
+    f = hy.Hyperfunction1D(f_plus=F, f_minus=F, strip=0.15,
+                           growth=GrowthClass.tempered(-1.0), point_support=0.0)
+    for phi in SUITE:
+        assert abs(hy.pair_with_error(f, phi)[0] - 1.0) <= 1e-12, phi.label
+    fhat = sp.fourier_transform(f)
+    for xi in (0.0, 1.0, 3.0):
+        assert abs(fhat(xi, 0) - 1.0) <= 1e-12, xi
+
+
 def test_standardize_preserves_pairings():
     f = hy.delta_derivative(1)
     g = hy.standardize(f)
